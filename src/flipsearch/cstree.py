@@ -9,9 +9,6 @@ level by level, in length-lexicographic order of their sequences.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import kernels
 from .model import FactorGraph
 
 __all__ = [
@@ -24,9 +21,22 @@ NONE = -1
 
 
 def csr_extendable(graph: FactorGraph, path, v: int) -> bool:
-    """May `v` be appended to the canonical sequence `path`?"""
-    arr = np.asarray(path, dtype=np.int64)
-    return bool(kernels.csr_extendable(arr, int(v), graph.adj_flat, graph.adj_off))
+    """May `v` be appended to the canonical sequence `path`?
+
+    Yes iff (i) v is not in path, (ii) v is adjacent to some path element,
+    (iii) v exceeds the first element, and (iv) if i >= 1 is the first
+    position with v adjacent to path[i-1], every element from path[i] on is
+    smaller than v.
+    """
+    if v <= path[0] or v in path:
+        return False
+    adjacency = graph.adjacency
+    if not any(v in adjacency[p] for p in path):
+        return False
+    for i in range(1, len(path)):
+        if v in adjacency[path[i - 1]]:
+            return all(p < v for p in path[i:])
+    return True
 
 
 class CSTree:
@@ -50,16 +60,10 @@ class CSTree:
         # highest level known to be fully built (root level always is)
         self.complete_level = 0
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     @property
     def node_count(self) -> int:
         """Number of non-root nodes, i.e. connected subsets enumerated so far."""
         return len(self.labels) - 1
-
-    def level_of(self, p: int) -> int:
-        return self.levels[p]
 
     def sequence_of(self, p: int) -> tuple[int, ...]:
         """Labels on the path root->p: the node's canonical sequence."""
@@ -106,14 +110,14 @@ class CSTree:
             if label >= g.variable_count:
                 return None
             return self._append(p, label)
-        path = np.asarray(self.sequence_of(p), dtype=np.int64)
+        path = self.sequence_of(p)
         candidates = set()
         for u in path:
             candidates.update(g.adjacency[u])
         for v in sorted(candidates):
             if v <= floor:
                 continue
-            if kernels.csr_extendable(path, v, g.adj_flat, g.adj_off):
+            if csr_extendable(g, path, v):
                 return self._append(p, v)
         return None
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+from array import array
 from typing import IO, Iterable
 
 import numpy as np
 
-from .model import Factor, FactorGraph, build_factor_graph
+from .model import Factor, FactorGraph, ModelError, build_factor_graph
 from .solver import TraceRecord
 
 __all__ = [
@@ -96,6 +96,10 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
         raise ModelFormatError(number, f"negative variable count {m}")
 
     factors = []
+    # line numbers of each factor's scope and values, to place build errors;
+    # arrays, because a tuple per factor would weigh on large models
+    scope_lines = array("q")
+    value_lines = array("q")
     for number, line in lines:
         parts = line.split()
         if parts[0] != "factor":
@@ -114,11 +118,6 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
             scope = tuple(int(p) for p in parts[2:])
         except ValueError:
             raise ModelFormatError(number, "bad scope index")
-        for v in scope:
-            if not 0 <= v < m:
-                raise ModelFormatError(number, f"variable {v} out of range [0, {m})")
-        if len(set(scope)) != arity:
-            raise ModelFormatError(number, f"duplicate variable in scope {scope}")
         vnumber, vline = next_line("factor value table")
         vparts = vline.split()
         if len(vparts) != 2**arity:
@@ -129,11 +128,14 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
             table = tuple(float(p) for p in vparts)
         except ValueError:
             raise ModelFormatError(vnumber, "bad table value")
-        for x in table:
-            if not math.isfinite(x):
-                raise ModelFormatError(vnumber, f"non-finite table value {x}")
         factors.append(Factor(scope=scope, table=table))
-    return build_factor_graph(m, factors)
+        scope_lines.append(number)
+        value_lines.append(vnumber)
+    try:
+        return build_factor_graph(m, factors)
+    except ModelError as exc:
+        lines_of = value_lines if exc.part == "table" else scope_lines
+        raise ModelFormatError(lines_of[exc.factor], str(exc)) from exc
 
 
 def write_trace(trace: Iterable[TraceRecord], destination) -> None:

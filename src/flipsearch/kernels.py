@@ -1,126 +1,61 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Energy kernels over a factor graph's factor list and incidence lists.
 
-Set the environment variable FLIPSEARCH_DISABLE_NUMBA=1 to force the pure
-Python fallback (useful for debugging and for the benchmark comparing both
-paths). The selection happens once at import time.
+Both kernels are plain Python. `bits` must yield Python ints (or bools) when
+indexed, e.g. a list or a memoryview of a uint8 array: table indices are
+built from them with Python int arithmetic, which never wraps, so factors of
+any arity select the right table entry.
 """
-
-import os
-
-import numpy as np
 
 __all__ = [
     "USING_NUMBA",
     "total_energy",
     "flip_delta",
-    "csr_extendable",
 ]
 
+# There is one kernel path and it is not JIT-compiled; kept because the
+# benchmark records it with every result.
+USING_NUMBA = False
 
-def _py_total_energy(bits, scope_flat, scope_off, table_flat, table_off):
+
+def total_energy(bits, factors):
+    """Sum over `factors` of the table entry selected by `bits`."""
     # Table entries are indexed with the last scope variable varying fastest.
     acc = 0.0
-    for f in range(scope_off.shape[0] - 1):
+    for f in factors:
         idx = 0
-        for i in range(scope_off[f], scope_off[f + 1]):
-            idx = 2 * idx + bits[scope_flat[i]]
-        acc += table_flat[table_off[f] + idx]
+        for v in f.scope:
+            idx = 2 * idx + bits[v]
+        acc += f.table[idx]
     return acc
 
 
-def _py_flip_delta(
-    bits,
-    subset,
-    in_subset,
-    inc_flat,
-    inc_off,
-    scope_flat,
-    scope_off,
-    table_flat,
-    table_off,
-    touched,
-    stamp,
-):
-    # in_subset and touched are caller-owned scratch arrays; in_subset must
-    # arrive all-zero and is restored before returning. touched is a stamp
-    # array so it never needs clearing.
-    for k in range(subset.shape[0]):
-        in_subset[subset[k]] = 1
+def flip_delta(bits, subset, factors, incidence, in_subset, touched, stamp):
+    """Energy change of toggling `subset`, and the number of table lookups.
+
+    Each factor incident to the subset is evaluated once, before and after
+    the flip. `in_subset` (a bytearray over variables) must arrive all-zero
+    and is restored before returning; `touched` holds a stamp per factor, so
+    passing a fresh `stamp` per call means it never needs clearing.
+    """
+    for v in subset:
+        in_subset[v] = 1
     delta = 0.0
     evals = 0
-    for k in range(subset.shape[0]):
-        v = subset[k]
-        for i in range(inc_off[v], inc_off[v + 1]):
-            f = inc_flat[i]
-            if touched[f] == stamp:
+    for v in subset:
+        for fi in incidence[v]:
+            if touched[fi] == stamp:
                 continue
-            touched[f] = stamp
+            touched[fi] = stamp
+            f = factors[fi]
             idx_cur = 0
             idx_new = 0
-            for j in range(scope_off[f], scope_off[f + 1]):
-                u = scope_flat[j]
+            for u in f.scope:
                 b = bits[u]
                 idx_cur = 2 * idx_cur + b
                 idx_new = 2 * idx_new + (b ^ in_subset[u])
-            delta += table_flat[table_off[f] + idx_new]
-            delta -= table_flat[table_off[f] + idx_cur]
+            delta += f.table[idx_new]
+            delta -= f.table[idx_cur]
             evals += 2
-    for k in range(subset.shape[0]):
-        in_subset[subset[k]] = 0
+    for v in subset:
+        in_subset[v] = 0
     return delta, evals
-
-
-def _py_csr_extendable(path, v, adj_flat, adj_off):
-    # Canonical-sequence extension test: v may be appended to the sequence
-    # `path` iff (i) v is unused, (ii) v is adjacent to some path element,
-    # (iii) v exceeds the first element, and (iv) whenever v was already
-    # insertable after path[i-1], every later element is smaller than v.
-    n = path.shape[0]
-    if v <= path[0]:
-        return False
-    connected = False
-    for i in range(n):
-        p = path[i]
-        if p == v:
-            return False
-        for j in range(adj_off[p], adj_off[p + 1]):
-            if adj_flat[j] == v:
-                connected = True
-                break
-    if not connected:
-        return False
-    for i in range(1, n):
-        prev = path[i - 1]
-        adjacent = False
-        for j in range(adj_off[prev], adj_off[prev + 1]):
-            if adj_flat[j] == v:
-                adjacent = True
-                break
-        if adjacent:
-            for k in range(i, n):
-                if path[k] > v:
-                    return False
-            return True
-    return True
-
-
-_disable = os.environ.get("FLIPSEARCH_DISABLE_NUMBA", "") not in ("", "0")
-
-if not _disable:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-if USING_NUMBA:
-    total_energy = njit(cache=True)(_py_total_energy)
-    flip_delta = njit(cache=True)(_py_flip_delta)
-    csr_extendable = njit(cache=True)(_py_csr_extendable)
-else:
-    total_energy = _py_total_energy
-    flip_delta = _py_flip_delta
-    csr_extendable = _py_csr_extendable

@@ -9,7 +9,7 @@ are adjacent iff they co-occur in some factor scope; this adjacency is what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +29,18 @@ __all__ = [
 
 
 class ModelError(ValueError):
-    """Raised for structurally invalid factors or configurations."""
+    """Raised for structurally invalid factors or configurations.
+
+    An error about one factor carries its index in `factor` and the part at
+    fault, "scope" or "table", in `part`; both are None otherwise.
+    """
+
+    def __init__(
+        self, message: str, factor: int | None = None, part: str | None = None
+    ):
+        super().__init__(message)
+        self.factor = factor
+        self.part = part
 
 
 @dataclass(frozen=True)
@@ -52,34 +63,20 @@ class Factor:
     def arity(self) -> int:
         return len(self.scope)
 
-    def value(self, bits: Sequence[int]) -> float:
-        idx = 0
-        for v in self.scope:
-            idx = 2 * idx + int(bits[v])
-        return self.table[idx]
-
 
 @dataclass(frozen=True)
 class FactorGraph:
     """Immutable factor graph over binary variables 0..m-1.
 
-    Besides the factor list, flattened CSR-style arrays (scopes, tables,
-    variable->factor incidence, variable adjacency) are precomputed so the
-    numeric kernels can run without touching Python objects.
+    `adjacency[v]` lists the variables sharing a factor with v, sorted;
+    `incidence[v]` lists the indices of the factors whose scope holds v, in
+    factor order. The kernels and the CS-tree read only these and `factors`.
     """
 
     variable_count: int
     factors: tuple[Factor, ...]
     adjacency: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
-    scope_flat: np.ndarray = field(repr=False)
-    scope_off: np.ndarray = field(repr=False)
-    table_flat: np.ndarray = field(repr=False)
-    table_off: np.ndarray = field(repr=False)
-    inc_flat: np.ndarray = field(repr=False)
-    inc_off: np.ndarray = field(repr=False)
-    adj_flat: np.ndarray = field(repr=False)
-    adj_off: np.ndarray = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, FactorGraph):
@@ -108,17 +105,8 @@ class Configuration:
         return Configuration(self.bits.copy(), self.energy)
 
 
-def _csr(lists: Iterable[Sequence[int]], dtype=np.int64):
-    offsets = [0]
-    flat = []
-    for xs in lists:
-        flat.extend(xs)
-        offsets.append(len(flat))
-    return np.asarray(flat, dtype=dtype), np.asarray(offsets, dtype=np.int64)
-
-
 def build_factor_graph(variable_count: int, factors: Iterable[Factor]) -> FactorGraph:
-    """Validate factors and precompute adjacency, incidence and flat arrays."""
+    """Validate factors and precompute adjacency and incidence."""
     m = int(variable_count)
     if m < 0:
         raise ModelError(f"variable_count must be non-negative, got {m}")
@@ -127,50 +115,38 @@ def build_factor_graph(variable_count: int, factors: Iterable[Factor]) -> Factor
     incidence = [[] for _ in range(m)]
     for fi, f in enumerate(factors):
         if f.arity < 1:
-            raise ModelError(f"factor {fi}: empty scope")
+            raise ModelError(f"factor {fi}: empty scope", fi, "scope")
         if len(set(f.scope)) != f.arity:
-            raise ModelError(f"factor {fi}: duplicate variable in scope {f.scope}")
+            raise ModelError(
+                f"factor {fi}: duplicate variable in scope {f.scope}", fi, "scope"
+            )
         for v in f.scope:
             if not 0 <= v < m:
-                raise ModelError(f"factor {fi}: variable {v} out of range [0, {m})")
+                raise ModelError(
+                    f"factor {fi}: variable {v} out of range [0, {m})", fi, "scope"
+                )
         if len(f.table) != 2**f.arity:
             raise ModelError(
                 f"factor {fi}: table has {len(f.table)} entries, "
-                f"expected {2 ** f.arity}"
+                f"expected {2 ** f.arity}",
+                fi,
+                "table",
             )
         for x in f.table:
             if not math.isfinite(x):
-                raise ModelError(f"factor {fi}: non-finite table value {x}")
+                raise ModelError(
+                    f"factor {fi}: non-finite table value {x}", fi, "table"
+                )
         for v in f.scope:
             incidence[v].append(fi)
             for u in f.scope:
                 if u != v:
                     neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    incidence = tuple(tuple(xs) for xs in incidence)
-
-    scope_flat, scope_off = _csr(f.scope for f in factors)
-    table_flat = np.asarray(
-        [x for f in factors for x in f.table], dtype=np.float64
-    )
-    table_off = np.asarray(
-        np.cumsum([0] + [len(f.table) for f in factors]), dtype=np.int64
-    )
-    inc_flat, inc_off = _csr(incidence)
-    adj_flat, adj_off = _csr(adjacency)
     return FactorGraph(
         variable_count=m,
         factors=factors,
-        adjacency=adjacency,
-        incidence=incidence,
-        scope_flat=scope_flat,
-        scope_off=scope_off,
-        table_flat=table_flat,
-        table_off=table_off,
-        inc_flat=inc_flat,
-        inc_off=inc_off,
-        adj_flat=adj_flat,
-        adj_off=adj_off,
+        adjacency=tuple(tuple(sorted(s)) for s in neighbor_sets),
+        incidence=tuple(tuple(xs) for xs in incidence),
     )
 
 
@@ -181,49 +157,42 @@ def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
         raise ModelError(
             f"bits has shape {bits.shape}, expected ({graph.variable_count},)"
         )
-    return float(
-        kernels.total_energy(
-            bits, graph.scope_flat, graph.scope_off, graph.table_flat, graph.table_off
-        )
-    )
+    return kernels.total_energy(bits.tolist(), graph.factors)
 
 
 class _FlipScratch:
-    """Per-graph scratch buffers for the flip-delta kernel."""
+    """Per-graph scratch state for the flip-delta kernel."""
 
     def __init__(self, graph: FactorGraph):
-        self.in_subset = np.zeros(graph.variable_count, dtype=np.uint8)
-        self.touched = np.zeros(len(graph.factors), dtype=np.int64)
+        self.in_subset = bytearray(graph.variable_count)
+        self.touched = [0] * len(graph.factors)
         self.stamp = 0
         self.evaluations = 0
 
-    def delta(self, graph: FactorGraph, bits: np.ndarray, subset: np.ndarray):
+    def delta(self, graph: FactorGraph, bits: np.ndarray, subset) -> float:
+        """Energy change of toggling the variables `subset` in `bits`."""
         self.stamp += 1
         d, evals = kernels.flip_delta(
-            bits,
+            memoryview(bits),
             subset,
+            graph.factors,
+            graph.incidence,
             self.in_subset,
-            graph.inc_flat,
-            graph.inc_off,
-            graph.scope_flat,
-            graph.scope_off,
-            graph.table_flat,
-            graph.table_off,
             self.touched,
             self.stamp,
         )
         self.evaluations += evals
-        return float(d)
+        return d
 
 
-def _check_subset(graph: FactorGraph, subset) -> np.ndarray:
-    s = np.asarray(sorted(subset), dtype=np.int64)
-    if s.size == 0:
+def _check_subset(graph: FactorGraph, subset) -> list[int]:
+    s = sorted(int(v) for v in subset)
+    if not s:
         raise ModelError("flip set must be non-empty")
-    if len(set(s.tolist())) != s.size:
-        raise ModelError(f"flip set has duplicate indices: {sorted(subset)}")
-    if s.min() < 0 or s.max() >= graph.variable_count:
-        raise ModelError(f"flip set {sorted(subset)} out of range")
+    if len(set(s)) != len(s):
+        raise ModelError(f"flip set has duplicate indices: {s}")
+    if s[0] < 0 or s[-1] >= graph.variable_count:
+        raise ModelError(f"flip set {s} out of range")
     return s
 
 

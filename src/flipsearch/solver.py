@@ -12,6 +12,7 @@ max_depth = 1 this is exactly Iterated Conditional Modes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,23 +38,22 @@ __all__ = [
     "icm",
 ]
 
-INIT_POLICIES = ("unary_min", "all_zero", "given")
-
 
 @dataclass
 class SolveParams:
     max_depth: int
     time_limit: float | None = None
-    init_policy: str = "unary_min"
     record_trace: bool = True
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.init_policy not in INIT_POLICIES:
-            raise ValueError(f"unknown init policy {self.init_policy!r}")
+        if self.time_limit is not None and not (
+            math.isfinite(self.time_limit) and self.time_limit > 0
+        ):
+            raise ValueError(
+                f"time_limit must be positive and finite, got {self.time_limit}"
+            )
 
 
 @dataclass
@@ -148,7 +148,7 @@ class _Run:
 
     def try_flip(self, node: int, sink: TagList) -> None:
         """Evaluate flipping node's subset; accept iff strictly improving."""
-        subset = np.asarray(self.tree.sequence_of(node), dtype=np.int64)
+        subset = self.tree.sequence_of(node)
         delta = self.scratch.delta(self.graph, self.config.bits, subset)
         self.subsets_evaluated += 1
         if delta < 0.0:
@@ -181,10 +181,11 @@ def flip_search(
             run.depth = n
             s = run.tree.first_subset_of_size(n)
             if s is None:
-                # no connected subset of this size exists; counting the empty
-                # level as finished is sound because disconnected flips
-                # decompose into smaller connected ones with additive deltas
-                completed = n
+                # no connected subset of this size exists, hence none of any
+                # larger size; every depth up to max_depth is finished
+                # because disconnected flips decompose into smaller connected
+                # ones with additive deltas
+                run.depth = completed = params.max_depth
                 break
             while s is not None:
                 run.try_flip(s, tags_a)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import flipsearch as fs
-from flipsearch import kernels
 
 from conftest import grid_graph, random_graph
 

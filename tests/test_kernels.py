@@ -1,82 +1,48 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
 from flipsearch import kernels
 
 from conftest import random_graph
 
 
-def test_jitted_and_pure_paths_agree():
+def energy_from_scratch(graph, bits):
+    """Sum of table entries, each index read from the scope's bit string."""
+    return sum(
+        f.table[int("".join(str(bits[v]) for v in f.scope), 2)]
+        for f in graph.factors
+    )
+
+
+def test_total_energy_matches_recompute():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        m = int(rng.integers(2, 15))
-        g = random_graph(rng, m)
-        bits = rng.integers(0, 2, size=m).astype(np.uint8)
-
-        assert kernels.total_energy(
-            bits, g.scope_flat, g.scope_off, g.table_flat, g.table_off
-        ) == kernels._py_total_energy(
-            bits, g.scope_flat, g.scope_off, g.table_flat, g.table_off
+    for _ in range(30):
+        m = int(rng.integers(1, 15))
+        g = random_graph(rng, m, max_arity=6)
+        bits = rng.integers(0, 2, size=m).tolist()
+        assert kernels.total_energy(bits, g.factors) == pytest.approx(
+            energy_from_scratch(g, bits), rel=1e-12, abs=1e-12
         )
 
-        size = int(rng.integers(1, m + 1))
-        subset = np.sort(rng.choice(m, size=size, replace=False)).astype(np.int64)
-        scratch_a = np.zeros(m, dtype=np.uint8)
-        scratch_b = np.zeros(m, dtype=np.uint8)
-        touched_a = np.zeros(len(g.factors), dtype=np.int64)
-        touched_b = np.zeros(len(g.factors), dtype=np.int64)
-        got = kernels.flip_delta(
-            bits, subset, scratch_a, g.inc_flat, g.inc_off, g.scope_flat,
-            g.scope_off, g.table_flat, g.table_off, touched_a, 1,
-        )
-        ref = kernels._py_flip_delta(
-            bits, subset, scratch_b, g.inc_flat, g.inc_off, g.scope_flat,
-            g.scope_off, g.table_flat, g.table_off, touched_b, 1,
-        )
-        assert got == ref
-        assert not scratch_a.any()  # scratch restored
 
-        path = np.sort(rng.choice(m, size=min(3, m), replace=False)).astype(np.int64)
-        for v in range(m):
-            assert kernels.csr_extendable(
-                path, v, g.adj_flat, g.adj_off
-            ) == kernels._py_csr_extendable(path, v, g.adj_flat, g.adj_off)
-
-
-def test_env_flag_selects_pure_python_path():
-    env = dict(os.environ, FLIPSEARCH_DISABLE_NUMBA="1")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from flipsearch import kernels; print(kernels.USING_NUMBA)",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.stdout.strip() == "False"
-
-
-def test_solver_result_independent_of_kernel_path(tmp_path):
-    # same seeded solve under both kernel paths, compared bit for bit
-    script = (
-        "import flipsearch as fs\n"
-        "g = fs.generate_ising(fs.IsingSpec(6, 6, alpha=0.7, seed=13))\n"
-        "c = fs.initial_configuration(g, 'unary_min')\n"
-        "r = fs.flip_search(g, c, fs.SolveParams(max_depth=3))\n"
-        "print(''.join(map(str, r.configuration.bits)))\n"
-        "print(repr(r.recomputed_energy), r.flips_accepted, r.subsets_evaluated)\n"
-    )
-    outputs = []
-    for disable in ("0", "1"):
-        env = dict(os.environ, FLIPSEARCH_DISABLE_NUMBA=disable)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+def test_flip_delta_matches_recompute_and_restores_scratch():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        m = int(rng.integers(1, 15))
+        g = random_graph(rng, m, max_arity=6)
+        bits = rng.integers(0, 2, size=m).tolist()
+        in_subset = bytearray(m)
+        touched = [0] * len(g.factors)
+        for stamp in (1, 2, 3):
+            size = int(rng.integers(1, m + 1))
+            subset = [int(v) for v in rng.choice(m, size=size, replace=False)]
+            delta, evals = kernels.flip_delta(
+                bits, subset, g.factors, g.incidence, in_subset, touched, stamp
+            )
+            flipped = [b ^ (v in subset) for v, b in enumerate(bits)]
+            expected = energy_from_scratch(g, flipped) - energy_from_scratch(g, bits)
+            assert delta == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            incident = {fi for v in subset for fi in g.incidence[v]}
+            assert evals == 2 * len(incident)
+            assert in_subset == bytearray(m)  # restored for the next call
+            assert {fi for fi, t in enumerate(touched) if t == stamp} == incident

@@ -7,6 +7,8 @@ from flipsearch import (
     SolveParams,
     brute_force_minimize,
     build_factor_graph,
+    energy,
+    energy_after_flip,
     flip_search,
     generate_ising,
     icm,
@@ -120,7 +122,13 @@ class TestFlipSearch:
         # empty, counted as trivially finished
         c = initial_configuration(trap, "unary_min")
         result = flip_search(trap, c, SolveParams(max_depth=5))
-        assert result.completed_depth <= result.reached_depth <= 5
+        assert result.completed_depth == result.reached_depth == 5
+        assert verify_hamming_bound(trap, result.configuration, 5)
+        # with no variables even level 1 is empty
+        empty = build_factor_graph(0, [])
+        c = initial_configuration(empty, "unary_min")
+        result = flip_search(empty, c, SolveParams(max_depth=3))
+        assert result.completed_depth == result.reached_depth == 3
 
     def test_hamming_certificate_small_depths(self):
         rng = np.random.default_rng(17)
@@ -146,6 +154,22 @@ class TestFlipSearch:
             for a, b in zip(finals, finals[1:]):
                 assert b <= a + 1e-12
 
+    @pytest.mark.parametrize("arity", [9, 10])
+    def test_wide_factor_matches_brute_force(self, arity):
+        # table indices reach 2^arity - 1 > 255; the optimum is all ones
+        g = build_factor_graph(
+            arity, [Factor(tuple(range(arity)), tuple(range(2**arity - 1, -1, -1)))]
+        )
+        best_config, best = brute_force_minimize(g)
+        assert best_config.bits.tolist() == [1] * arity
+        assert energy(g, best_config.bits) == best
+        start = initial_configuration(g, "all_zero")
+        assert start.energy == 2**arity - 1
+        assert energy_after_flip(g, start, range(arity)) == best
+        result = flip_search(g, start, SolveParams(max_depth=arity))
+        assert result.configuration.bits.tolist() == [1] * arity
+        assert result.energy == result.recomputed_energy == best
+
     def test_time_limit_stops_early(self):
         g = generate_ising(IsingSpec(40, 40, alpha=0.5, seed=1))
         c = initial_configuration(g, "unary_min")
@@ -160,10 +184,9 @@ class TestFlipSearch:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             SolveParams(max_depth=0)
-        with pytest.raises(ValueError):
-            SolveParams(max_depth=1, time_limit=-1.0)
-        with pytest.raises(ValueError):
-            SolveParams(max_depth=1, init_policy="nope")
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolveParams(max_depth=1, time_limit=bad)
 
 
 class TestIcm:
