@@ -150,14 +150,23 @@ def build_factor_graph(variable_count: int, factors: Iterable[Factor]) -> Factor
     )
 
 
+def _check_bits(graph: FactorGraph, bits: Sequence[int]) -> np.ndarray:
+    """`bits` as a contiguous uint8 array, after checking that it holds one
+    0 or 1 per variable; the array itself when it already is one."""
+    arr = np.asarray(bits)
+    if arr.shape != (graph.variable_count,):
+        raise ModelError(
+            f"configuration has shape {arr.shape}, "
+            f"expected ({graph.variable_count},)"
+        )
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ModelError("configuration bits must be 0 or 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
 def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
     """Total energy: sum of all factor table entries selected by `bits`."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    if bits.shape != (graph.variable_count,):
-        raise ModelError(
-            f"bits has shape {bits.shape}, expected ({graph.variable_count},)"
-        )
-    return kernels.total_energy(bits.tolist(), graph.factors)
+    return kernels.total_energy(_check_bits(graph, bits).tolist(), graph.factors)
 
 
 class _FlipScratch:
@@ -227,12 +236,5 @@ def neighbors(graph: FactorGraph, j: int) -> tuple[int, ...]:
 
 def make_configuration(graph: FactorGraph, bits: Sequence[int]) -> Configuration:
     """Configuration with a freshly computed (exact) energy."""
-    arr = np.ascontiguousarray(bits, dtype=np.uint8)
-    if arr.shape != (graph.variable_count,):
-        raise ModelError(
-            f"configuration has length {arr.shape[0]}, "
-            f"expected {graph.variable_count}"
-        )
-    if arr.size and arr.max() > 1:
-        raise ModelError("configuration bits must be 0 or 1")
+    arr = _check_bits(graph, bits)
     return Configuration(arr, energy(graph, arr))

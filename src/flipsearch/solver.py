@@ -23,6 +23,7 @@ from .model import (
     Configuration,
     FactorGraph,
     _FlipScratch,
+    _check_bits,
     energy,
     flip,
     make_configuration,
@@ -166,9 +167,11 @@ class _Run:
 def flip_search(
     graph: FactorGraph, config: Configuration, params: SolveParams
 ) -> SolveResult:
-    """Run the depth-limited flip search from `config` (modified in place)."""
-    if config.bits.shape != (graph.variable_count,):
-        raise ValueError("configuration does not match the graph")
+    """Run the depth-limited flip search from `config` (modified in place).
+
+    Bits that are not a uint8 array are replaced by a checked uint8 copy.
+    """
+    config.bits = _check_bits(graph, config.bits)
     run = _Run(graph, config, params)
     tags_a = TagList(graph.variable_count)
     tags_b = TagList(graph.variable_count)

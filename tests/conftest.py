@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from flipsearch import Factor, build_factor_graph
+from flipsearch import CSTree, Factor, build_factor_graph
 
 # 2x3 grid: variables 0..5, row 0 = (0,1,2), row 1 = (3,4,5)
 GRID_EDGES = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
@@ -39,6 +40,43 @@ def random_graph(rng: np.random.Generator, m: int, max_arity: int = 4,
         scope = tuple(int(x) for x in rng.choice(m, size=k, replace=False))
         factors.append(Factor(scope, tuple(rng.random(2**k) * 2.0 - 1.0)))
     return build_factor_graph(m, factors)
+
+
+@st.composite
+def higher_order_models(draw):
+    """Random structures: m may be 0, variables may be isolated, components
+    may be disconnected and scopes may repeat. Tables are irrelevant to
+    growth, so they are zero."""
+    m = draw(st.integers(0, 9))
+    scopes = []
+    if m:
+        variables = st.integers(0, m - 1)
+        scopes = draw(
+            st.lists(
+                st.lists(variables, min_size=1, max_size=min(4, m), unique=True),
+                max_size=12,
+            )
+        )
+        scopes += draw(st.lists(st.sampled_from(scopes), max_size=3)) if scopes else []
+    factors = [Factor(tuple(s), (0.0,) * 2 ** len(s)) for s in scopes]
+    return build_factor_graph(m, factors)
+
+
+def build_levels(graph, depth):
+    """Fully build CS-tree levels 1..depth; returns the tree."""
+    tree = CSTree(graph)
+    for n in range(1, depth + 1):
+        p = tree.first_subset_of_size(n)
+        while p is not None:
+            p = tree.next_subset_of_same_size(p)
+    return tree
+
+
+def node_for(tree, sequence):
+    for p in range(1, tree.node_count + 1):
+        if tree.sequence_of(p) == tuple(sequence):
+            return p
+    raise AssertionError(f"no node for {sequence}")
 
 
 @pytest.fixture

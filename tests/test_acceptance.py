@@ -157,7 +157,7 @@ def test_criterion_07_depth_dominance():
 
 
 def test_criterion_08_near_linear_scaling():
-    # warm up the JIT so compilation does not pollute the smallest grid
+    # one untimed solve first, so one-time costs stay out of the smallest grid
     warm = fs.generate_ising(fs.IsingSpec(5, 5, alpha=0.25, seed=0))
     fs.flip_search(
         warm, fs.initial_configuration(warm, "unary_min"), fs.SolveParams(max_depth=3)

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipsearch import (
+    Configuration,
     Factor,
+    SolveParams,
     build_factor_graph,
     energy,
     energy_after_flip,
     flip,
+    flip_search,
     make_configuration,
     neighbors,
 )
@@ -165,3 +168,23 @@ def test_flip_delta_matches_full_recompute(seed, data):
     expected = energy(g, flipped)
     got = energy_after_flip(g, c, subset)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bits", [[0, 2], [1, -1], [0.5, 0], [0, 256]])
+def test_bits_outside_zero_one_are_rejected(bits):
+    g = build_factor_graph(2, [Factor((0, 1), (0.0, 1.0, 5.0, 7.0))])
+    with pytest.raises(ModelError, match="0 or 1"):
+        energy(g, bits)
+    with pytest.raises(ModelError, match="0 or 1"):
+        make_configuration(g, bits)
+    config = Configuration(np.array(bits), 0.0)
+    with pytest.raises(ModelError, match="0 or 1"):
+        flip_search(g, config, SolveParams(max_depth=2))
+
+
+def test_flip_search_takes_a_list_of_valid_bits():
+    g = build_factor_graph(2, [Factor((0, 1), (0.0, 1.0, 5.0, 7.0))])
+    config = Configuration([1, 1], energy(g, [1, 1]))
+    result = flip_search(g, config, SolveParams(max_depth=2))
+    assert result.configuration.bits.dtype == np.uint8
+    assert result.energy == 0.0

@@ -1,27 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flipsearch import CSTree, TagList
+from flipsearch import TagList
 from flipsearch.cstree import enumerate_connected_subsets
 
-from conftest import random_graph
+from conftest import build_levels, higher_order_models, node_for, random_graph
 
 
-def build_levels(graph, depth):
-    """Fully build CS-tree levels 1..depth; returns the tree."""
-    tree = CSTree(graph)
-    for n in range(1, depth + 1):
-        p = tree.first_subset_of_size(n)
-        while p is not None:
-            p = tree.next_subset_of_same_size(p)
-    return tree
+def naive_selection(tree, tags, after=0):
+    """Created nodes after `after` whose subset holds a tagged variable."""
+    tagged = set(tags.tagged)
+    return [
+        p
+        for p in range(after + 1, tree.node_count + 1)
+        if tagged & set(tree.sequence_of(p))
+    ]
 
 
-def node_for(tree, sequence):
-    for p in range(1, len(tree.labels)):
-        if tree.sequence_of(p) == tuple(sequence):
-            return p
-    raise AssertionError(f"no node for {sequence}")
+def swept(tree, tags):
+    got = []
+    p = tags.first_tagged_subset(tree)
+    while p is not None:
+        got.append(p)
+        p = tags.next_tagged_subset(tree, p)
+    return got
 
 
 class TestTagUntag:
@@ -98,7 +102,7 @@ class TestTaggedTraversal:
         tags = TagList(6)
         tags.tag(3)
         p = tags.first_tagged_subset(tree)
-        assert tree.labels[p] == 3
+        assert tree.sequence_of(p) == (3,)
 
     def test_first_tagged_none_when_empty(self, grid):
         tree = build_levels(grid, 1)
@@ -109,7 +113,7 @@ class TestTaggedTraversal:
         tags = TagList(6)
         for v in range(6):
             tags.tag(v)
-        assert tree.labels[tags.first_tagged_subset(tree)] == 0
+        assert tree.sequence_of(tags.first_tagged_subset(tree)) == (0,)
 
     def test_next_tagged_crosses_levels(self, grid):
         tree = build_levels(grid, 2)
@@ -151,23 +155,44 @@ def test_traversal_matches_naive_scan_random_graphs():
         for v in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
             tags.tag(int(v))
         tagged = set(tags.tagged)
-        expected = {
-            p
-            for p in range(1, len(tree.labels))
-            if tagged & set(tree.sequence_of(p))
-        }
-        got = set()
-        p = tags.first_tagged_subset(tree)
-        while p is not None:
-            got.add(p)
-            p = tags.next_tagged_subset(tree, p)
-        # first_tagged_subset checks only the level-1 node's own label,
-        # which for level 1 equals the path check, so the sets agree
-        assert got == expected
+        assert swept(tree, tags) == naive_selection(tree, tags)
 
 
 def test_enumerate_helper_agrees_with_manual_build(grid):
     tree = build_levels(grid, 6)
-    manual = {tree.subset_of(p) for p in range(1, len(tree.labels))}
+    manual = {tree.subset_of(p) for p in range(1, tree.node_count + 1)}
     helper = {s for _, s in enumerate_connected_subsets(grid)}
     assert manual == helper
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=higher_order_models(), data=st.data())
+def test_selection_follows_tag_changes_between_calls(graph, data):
+    m = graph.variable_count
+    tree = build_levels(graph, data.draw(st.integers(1, 4)))
+    tags = TagList(m)
+    variables = st.integers(0, max(m - 1, 0))
+    nodes = st.integers(1, max(tree.node_count, 1))
+    for _ in range(data.draw(st.integers(1, 4))):
+        if m:
+            for v in data.draw(st.lists(variables, max_size=3)):
+                tags.tag(v)
+        assert swept(tree, tags) == naive_selection(tree, tags)
+        if tree.node_count:
+            s = data.draw(nodes)
+            expected = naive_selection(tree, tags, after=s)
+            assert tags.next_tagged_subset(tree, s) == (expected[0] if expected else None)
+        if data.draw(st.booleans()):
+            tags.untag_all()
+            assert tags.first_tagged_subset(tree) is None
+
+
+def test_selection_sees_nodes_created_after_it(grid):
+    tree = build_levels(grid, 1)
+    tags = TagList(6)
+    tags.tag(5)
+    assert swept(tree, tags) == [6]
+    p = tree.first_subset_of_size(2)
+    while p is not None:
+        p = tree.next_subset_of_same_size(p)
+    assert [tree.sequence_of(p) for p in swept(tree, tags)] == [(5,), (2, 5), (4, 5)]
