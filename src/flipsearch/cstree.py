@@ -100,6 +100,14 @@ class CSTree:
         n = self._level_of(p)
         return tuple(self._rows[n][p - self._first[n]].tolist())
 
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The canonical sequences of the ascending node ids `ids`, up to the
+        first id past the rows built on the level of ids[0]. Rows built ahead
+        of the nodes handed out are included; reading them creates no node."""
+        n = self._level_of(int(ids[0]))
+        first, rows = self._first[n], self._rows[n]
+        return rows[ids[ids < first + len(rows)] - first]
+
     def subset_of(self, p: int) -> frozenset[int]:
         return frozenset(self.sequence_of(p))
 

@@ -170,16 +170,64 @@ def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
 
 
 class _FlipScratch:
-    """Per-graph scratch state for the flip-delta kernel."""
+    """Per-solve scratch state for the flip-delta kernels, and a block cache.
+
+    `delta` is the one entry point per evaluated subset. Without a `slot` it
+    runs the scalar `kernels.flip_delta`. The solver hands over a block of
+    subsets of one size with `load_block`; a `delta` call with the slot of a
+    block row returns that row's value from `kernels.flip_deltas`, computed
+    for the whole block at the block's first `delta` call. A cached value is
+    bit for bit the scalar one while no variable in S or next to S has
+    flipped since, S being the subset. `flipped` collects each flipped set T
+    and its neighbours, and S is stale iff it meets them; a stale entry is
+    recomputed by the scalar kernel. The factor arrays are built on first
+    use, once per scratch.
+    """
 
     def __init__(self, graph: FactorGraph):
         self.in_subset = bytearray(graph.variable_count)
         self.touched = [0] * len(graph.factors)
         self.stamp = 0
         self.evaluations = 0
+        self._arrays: kernels.FactorArrays | None = None
+        self._rows = None
+        # the block's deltas and lookups once computed, and the variables
+        # in or next to a flip since then
+        self._values = self._lookups = None
+        self._dirty: set[int] = set()
 
-    def delta(self, graph: FactorGraph, bits: np.ndarray, subset) -> float:
-        """Energy change of toggling the variables `subset` in `bits`."""
+    def arrays(self, graph: FactorGraph) -> kernels.FactorArrays:
+        """The model's factor arrays, built on the first call."""
+        if self._arrays is None:
+            self._arrays = kernels.factor_arrays(graph.variable_count, graph.factors)
+        return self._arrays
+
+    def load_block(self, rows: np.ndarray) -> None:
+        """Make `rows`, a (B, n) array of subsets, the block that slots index."""
+        self._rows = rows
+        self._values = None
+
+    def flipped(self, graph: FactorGraph, subset) -> None:
+        """Record that the variables `subset` have just been toggled."""
+        dirty, adjacency = self._dirty, graph.adjacency
+        dirty.update(subset)
+        for v in subset:
+            dirty.update(adjacency[v])
+
+    def delta(self, graph: FactorGraph, bits: np.ndarray, subset, slot=None) -> float:
+        """Energy change of toggling the variables `subset` in `bits`.
+
+        `slot`, if given, is the index of `subset` among the rows of the
+        loaded block.
+        """
+        if slot is not None:
+            if self._values is None:
+                values, lookups = kernels.flip_deltas(bits, self._rows, self.arrays(graph))
+                self._values, self._lookups = values.tolist(), lookups.tolist()
+                self._dirty.clear()
+            if self._dirty.isdisjoint(subset):
+                self.evaluations += self._lookups[slot]
+                return self._values[slot]
         self.stamp += 1
         d, evals = kernels.flip_delta(
             memoryview(bits),

@@ -22,6 +22,7 @@ from .cstree import CSTree
 from .model import (
     Configuration,
     FactorGraph,
+    ModelError,
     _FlipScratch,
     _check_bits,
     energy,
@@ -112,6 +113,10 @@ def initial_configuration(
     raise ValueError(f"unknown init policy {policy!r}")
 
 
+# Subsets evaluated as one block by the batched flip-delta kernel.
+BLOCK_ROWS = 256
+
+
 class _TimeUp(Exception):
     pass
 
@@ -147,21 +152,55 @@ class _Run:
                 )
             )
 
-    def try_flip(self, node: int, sink: TagList) -> None:
-        """Evaluate flipping node's subset; accept iff strictly improving."""
-        subset = self.tree.sequence_of(node)
-        delta = self.scratch.delta(self.graph, self.config.bits, subset)
-        self.subsets_evaluated += 1
-        if delta < 0.0:
-            flip(self.config, subset, self.config.energy + delta)
-            self.flips_accepted += 1
-            sink.tag_connected_variables(self.tree, self.graph, node)
-            self.record()
-        if (
-            self.params.time_limit is not None
-            and self.elapsed() > self.params.time_limit
-        ):
-            raise _TimeUp
+    def sweep(self, s: int | None, step, block, sink: TagList) -> None:
+        """Try flipping node s and each node after it under `step`, until
+        None; accept a flip iff it strictly lowers the energy.
+
+        `block(s)` gives the ids of the next nodes `step` will visit from s
+        on; `CSTree.rows_of` keeps those of s's level, and their subsets are
+        evaluated as one block.
+        """
+        graph, tree, scratch, config = self.graph, self.tree, self.scratch, self.config
+        limit = self.params.time_limit
+        subsets = []
+        slot = 0
+        while s is not None:
+            if slot == len(subsets):
+                rows = tree.rows_of(block(s))
+                scratch.load_block(rows)
+                subsets, slot = rows.tolist(), 0
+            subset = subsets[slot]
+            delta = scratch.delta(graph, config.bits, subset, slot)
+            self.subsets_evaluated += 1
+            if delta < 0.0:
+                flip(config, subset, config.energy + delta)
+                scratch.flipped(graph, subset)
+                self.flips_accepted += 1
+                sink.tag_connected_variables(tree, graph, s)
+                self.record()
+            if limit is not None and self.elapsed() > limit:
+                raise _TimeUp
+            slot += 1
+            s = step(s)
+
+
+def _check_energy(graph: FactorGraph, config: Configuration, scratch: _FlipScratch) -> None:
+    """Raise ModelError unless `config.energy` is, within 1e-9 * max(1, |E|),
+    the energy E of its bits."""
+    given = config.energy
+
+    def matches(e: float) -> bool:
+        return abs(given - e) <= 1e-9 * max(1.0, abs(e))
+
+    e = scratch.arrays(graph).energy(config.bits)
+    if math.isfinite(given) and not matches(e):
+        # numpy sums in another order than `energy`, so a miss is confirmed
+        # with the scalar sum before it is reported
+        e = energy(graph, config.bits)
+    if not (math.isfinite(given) and matches(e)):
+        raise ModelError(
+            f"configuration energy {given!r} is not the energy of its bits, {e!r}"
+        )
 
 
 def flip_search(
@@ -169,10 +208,13 @@ def flip_search(
 ) -> SolveResult:
     """Run the depth-limited flip search from `config` (modified in place).
 
-    Bits that are not a uint8 array are replaced by a checked uint8 copy.
+    Bits that are not a uint8 array are replaced by a checked uint8 copy;
+    an energy that is not the energy of the bits raises ModelError.
     """
     config.bits = _check_bits(graph, config.bits)
     run = _Run(graph, config, params)
+    _check_energy(graph, config, run.scratch)
+    tree = run.tree
     tags_a = TagList(graph.variable_count)
     tags_b = TagList(graph.variable_count)
     completed = 0
@@ -182,7 +224,7 @@ def flip_search(
         n = 1
         while True:
             run.depth = n
-            s = run.tree.first_subset_of_size(n)
+            s = tree.first_subset_of_size(n)
             if s is None:
                 # no connected subset of this size exists, hence none of any
                 # larger size; every depth up to max_depth is finished
@@ -190,16 +232,22 @@ def flip_search(
                 # ones with additive deltas
                 run.depth = completed = params.max_depth
                 break
-            while s is not None:
-                run.try_flip(s, tags_a)
-                s = run.tree.next_subset_of_same_size(s)
+            run.sweep(
+                s,
+                tree.next_subset_of_same_size,
+                lambda s: np.arange(s, s + BLOCK_ROWS),
+                tags_a,
+            )
             while True:
-                s2 = tags_a.first_tagged_subset(run.tree)
-                if s2 is None:
+                s = tags_a.first_tagged_subset(tree)
+                if s is None:
                     break
-                while s2 is not None:
-                    run.try_flip(s2, tags_b)
-                    s2 = tags_a.next_tagged_subset(run.tree, s2)
+                run.sweep(
+                    s,
+                    lambda s, tags=tags_a: tags.next_tagged_subset(tree, s),
+                    lambda s, tags=tags_a: tags.selected_from(tree, s, BLOCK_ROWS),
+                    tags_b,
+                )
                 tags_a.untag_all()
                 tags_a, tags_b = tags_b, tags_a
             completed = n

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -64,6 +64,12 @@ class TagList:
                 hit = np.flatnonzero(self.flags[rows].any(axis=1))
                 self._selection += (first + hit).tolist()
         return self._selection
+
+    def selected_from(self, tree: CSTree, s: int, count: int) -> np.ndarray:
+        """Ids of the first `count` selected nodes from s on, in level order."""
+        selection = self._selected(tree)
+        i = bisect_left(selection, s)
+        return np.array(selection[i : i + count])
 
     def first_tagged_subset(self, tree: CSTree) -> int | None:
         """First created node, in level order, whose subset holds a tagged variable."""

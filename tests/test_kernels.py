@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flipsearch import kernels
+from flipsearch import Factor, build_factor_graph, kernels
+from flipsearch.model import _FlipScratch
 
-from conftest import random_graph
+from conftest import build_levels, random_graph
 
 
 def energy_from_scratch(graph, bits):
@@ -46,3 +49,91 @@ def test_flip_delta_matches_recompute_and_restores_scratch():
             assert evals == 2 * len(incident)
             assert in_subset == bytearray(m)  # restored for the next call
             assert {fi for fi, t in enumerate(touched) if t == stamp} == incident
+
+
+@st.composite
+def weighted_models(draw):
+    """A random model and a generator for its bits. m may be 0, scopes of
+    arity 1-10 may repeat, variables may be isolated and the factors may all
+    be unary; tables hold exact ties, signed zeros and magnitudes far apart."""
+    m = draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_arity = 1 if draw(st.booleans()) else max(1, m)
+    scopes = []
+    if m:
+        scope = st.integers(1, max_arity).flatmap(
+            lambda k: st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+        )
+        scopes = draw(st.lists(scope, max_size=10))
+        scopes += draw(st.lists(st.sampled_from(scopes), max_size=3)) if scopes else []
+    factors = []
+    for s in scopes:
+        size = 2 ** len(s)
+        table = rng.integers(-2, 3, size) * 10.0 ** rng.integers(-8, 9, size)
+        table[rng.random(size) < 0.2] = -0.0
+        factors.append(Factor(tuple(s), tuple(table)))
+    return build_factor_graph(m, factors), rng
+
+
+def scalar_delta(graph, bits, subset):
+    """`kernels.flip_delta` on a fresh scratch, the delta as its hex string."""
+    d, lookups = kernels.flip_delta(
+        bits.tolist(), subset, graph.factors, graph.incidence,
+        bytearray(graph.variable_count), [0] * len(graph.factors), 1,
+    )
+    return d.hex(), lookups
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=weighted_models(),
+    depth=st.integers(1, 4),
+    cells=st.sampled_from([1, 64, None]),
+)
+def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
+    """Whole levels and short runs of rows; small `BLOCK_CELLS` values make
+    the kernel split blocks."""
+    graph, rng = model
+    fa = kernels.factor_arrays(graph.variable_count, graph.factors)
+    bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
+    empty = kernels.flip_deltas(bits, np.zeros((0, 1), dtype=np.int32), fa)
+    assert [len(x) for x in empty] == [0, 0]
+    tree = build_levels(graph, depth)
+    saved = kernels.BLOCK_CELLS
+    kernels.BLOCK_CELLS = cells or saved
+    try:
+        for n in range(1, tree.level_count + 1):
+            rows = tree.level(n)[1]
+            lo = int(rng.integers(0, len(rows)))
+            for block in (rows, rows[lo : lo + int(rng.integers(1, 5))]):
+                deltas, lookups = kernels.flip_deltas(bits, block, fa)
+                got = [(d.hex(), k) for d, k in zip(deltas.tolist(), lookups.tolist())]
+                assert got == [scalar_delta(graph, bits, row) for row in block.tolist()]
+    finally:
+        kernels.BLOCK_CELLS = saved
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=weighted_models(),
+    depth=st.integers(1, 4),
+    flip_rate=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_cached_deltas_follow_flips_between_evaluations(model, depth, flip_rate):
+    """Each level is one block of the scratch's cache; flips in between make
+    later entries stale, and the scratch must return the scalar value of
+    the bits as they are at each call."""
+    graph, rng = model
+    bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
+    tree = build_levels(graph, depth)
+    scratch = _FlipScratch(graph)
+    for n in range(1, tree.level_count + 1):
+        rows = tree.level(n)[1]
+        scratch.load_block(rows)
+        for slot, row in enumerate(rows.tolist()):
+            before = scratch.evaluations
+            d = scratch.delta(graph, bits, row, slot)
+            assert (d.hex(), scratch.evaluations - before) == scalar_delta(graph, bits, row)
+            if rng.random() < flip_rate:
+                bits[row] ^= 1
+                scratch.flipped(graph, row)

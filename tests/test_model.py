@@ -188,3 +188,24 @@ def test_flip_search_takes_a_list_of_valid_bits():
     result = flip_search(g, config, SolveParams(max_depth=2))
     assert result.configuration.bits.dtype == np.uint8
     assert result.energy == 0.0
+
+
+@pytest.mark.parametrize("given_energy", [100.0, 7.0 + 1e-6, float("nan"), float("inf")])
+def test_flip_search_rejects_an_energy_that_is_not_the_bits_energy(given_energy):
+    g = build_factor_graph(2, [Factor((0, 1), (0.0, 1.0, 5.0, 7.0))])
+    config = Configuration(np.array([1, 1], np.uint8), given_energy)
+    with pytest.raises(ModelError, match="not the energy of its bits"):
+        flip_search(g, config, SolveParams(max_depth=2))
+
+
+def test_flip_search_accepts_an_energy_within_tolerance():
+    g = build_factor_graph(2, [Factor((0, 1), (0.0, 1.0, 5.0, 7.0))])
+    config = Configuration(np.array([1, 1], np.uint8), 7.0 + 1e-9)
+    result = flip_search(g, config, SolveParams(max_depth=2))
+    assert result.energy == pytest.approx(1e-9, abs=1e-15)
+
+
+def test_single_subset_evaluation_builds_no_factor_arrays(trap):
+    scratch = _FlipScratch(trap)
+    energy_after_flip(trap, make_configuration(trap, [0, 0]), {0, 1}, scratch)
+    assert scratch._arrays is None
