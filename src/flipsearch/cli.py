@@ -125,7 +125,7 @@ def _cmd_generate(args) -> int:
     fileformat.write_model(graph, args.output)
     print(
         f"wrote {args.output}: {graph.variable_count} variables, "
-        f"{len(graph.factors)} factors"
+        f"{len(graph.table_start)} factors"
     )
     return 0
 

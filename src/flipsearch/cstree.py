@@ -10,11 +10,10 @@ level by level, in length-lexicographic order of their sequences.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
 
 import numpy as np
 
-from .model import FactorGraph
+from .model import FactorGraph, neighbors
 
 __all__ = [
     "CSTree",
@@ -37,11 +36,10 @@ def csr_extendable(graph: FactorGraph, path, v: int) -> bool:
     """
     if v <= path[0] or v in path:
         return False
-    adjacency = graph.adjacency
-    if not any(v in adjacency[p] for p in path):
+    if not any(v in neighbors(graph, p) for p in path):
         return False
     for i in range(1, len(path)):
-        if v in adjacency[path[i - 1]]:
+        if v in neighbors(graph, path[i - 1]):
             return all(p < v for p in path[i:])
     return True
 
@@ -50,31 +48,27 @@ class CSTree:
     """Growable tree of canonical sequences, stored level by level.
 
     Level n is an `(N_n, n)` int32 array of its nodes' canonical sequences
-    in length-lexicographic order, plus an int32 array with each node's
-    parent row in level n-1. Node ids run consecutively level by level with
-    the root as 0, so level order is id order and `sequence_of` is a row
-    lookup. Level n is grown from the complete level n-1 a few thousand
-    (row, neighbour) candidates at a time, whenever `next_subset_of_same_size`
-    runs past the rows built so far. A node is created when one of those two
-    methods hands it out; rows built ahead of that are not yet in the tree.
+    in length-lexicographic order. Node ids run consecutively level by level
+    with the root as 0, so level order is id order and `sequence_of` is a
+    row lookup. Level n is grown from the complete level n-1 a few thousand
+    (row, neighbour) candidates at a time, over the graph's adjacency
+    arrays, whenever `next_subset_of_same_size` runs past the rows built so
+    far. A node is created when one of those two methods hands it out; rows
+    built ahead of that are not yet in the tree.
     """
 
     def __init__(self, graph: FactorGraph):
         self.graph = graph
-        # per level, the root being level 0: id of its first node, its rows
-        # and their parent rows
+        # per level, the root being level 0: id of its first node and its rows
         self._first = [0]
         self._rows = [np.zeros((1, 0), dtype=np.int32)]
-        self._parent = [np.full(1, -1, dtype=np.int32)]
-        # the top level's rows and parent rows are views into this array,
-        # whose capacity doubles as the level grows
-        self._buffer = np.zeros((1, 1), dtype=np.int32)
+        # the top level's rows are a view into this array, whose capacity
+        # doubles as the level grows
+        self._buffer = np.zeros((1, 0), dtype=np.int32)
         # rows of level n-1 that the top level n has been grown from
         self._grown_from = 1
         # non-root nodes handed out so far: ids 1..node_count make up the tree
         self.node_count = 0
-        # neighbour lists as CSR arrays, built when level 2 is first grown
-        self._offsets = self._neighbors = None
         # highest level known to be fully built (root level always is)
         self.complete_level = 0
 
@@ -111,17 +105,18 @@ class CSTree:
     def subset_of(self, p: int) -> frozenset[int]:
         return frozenset(self.sequence_of(p))
 
-    def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _children(self, rows: np.ndarray) -> np.ndarray:
         """The canonical one-variable extensions of the sequences `rows`,
-        sorted by (row, appended variable), and the row each one extends."""
+        sorted by (row, appended variable)."""
         k, n = rows.shape
-        start = self._offsets[rows.ravel()]
-        degree = self._offsets[rows.ravel() + 1] - start
+        adjacent, adjacent_start = self.graph.adjacent, self.graph.adjacent_start
+        start = adjacent_start[rows.ravel()]
+        degree = adjacent_start[rows.ravel() + 1] - start
         # candidate i appends v[i], a neighbour of the variable in the flat
         # cell cell[i] = row * n + position; candidates come in cell order
         cell = np.repeat(np.arange(k * n), degree)
         offset = np.repeat(start - np.cumsum(degree) + degree, degree)
-        v = self._neighbors[offset + np.arange(len(cell))]
+        v = adjacent[offset + np.arange(len(cell))]
         larger = v > rows[cell // n, 0]
         cell, v = cell[larger], v[larger]
         # unique keeps each (row, v) from its first position adjacent to v
@@ -133,39 +128,32 @@ class CSTree:
         # first position
         after = np.arange(n) > (cell[first] % n)[:, None]
         keep = ~((seq == v[:, None]) | ((seq > v[:, None]) & after)).any(axis=1)
-        return np.column_stack((seq[keep], v[keep])), row[keep]
+        return np.column_stack((seq[keep], v[keep]))
 
     def _grow(self, n: int) -> bool:
         """Build more rows of the top level n; False once level n-1 is used up."""
         parents = self._rows[n - 1]
+        adjacent_start = self.graph.adjacent_start
         while self._grown_from < len(parents):
-            if self._offsets is None:
-                adjacency = self.graph.adjacency
-                self._offsets = np.cumsum([0, *map(len, adjacency)])
-                self._neighbors = np.fromiter(
-                    chain.from_iterable(adjacency), np.int32, self._offsets[-1]
-                )
             lo = self._grown_from
             window = parents[lo : lo + GROWTH_CANDIDATES]
-            degree = self._offsets[window + 1] - self._offsets[window]
+            degree = adjacent_start[window + 1] - adjacent_start[window]
             work = np.cumsum(degree.sum(axis=1))
             self._grown_from += max(1, int(np.searchsorted(work, GROWTH_CANDIDATES)))
-            rows, parent = self._children(parents[lo : self._grown_from])
+            rows = self._children(parents[lo : self._grown_from])
             if len(rows):
-                self._append(n, rows, parent + lo)
+                self._append(n, rows)
                 return True
         return False
 
-    def _append(self, n: int, rows: np.ndarray, parent) -> None:
+    def _append(self, n: int, rows: np.ndarray) -> None:
         built = len(self._rows[n])
         need = built + len(rows)
         if need > len(self._buffer):
             # np.resize keeps the rows built so far in place
-            self._buffer = np.resize(self._buffer, (2 * need, n + 1))
-        self._buffer[built:need, :n] = rows
-        self._buffer[built:need, n] = parent
-        self._rows[n] = self._buffer[:need, :n]
-        self._parent[n] = self._buffer[:need, n]
+            self._buffer = np.resize(self._buffer, (2 * need, n))
+        self._buffer[built:need] = rows
+        self._rows[n] = self._buffer[:need]
 
     def first_subset_of_size(self, n: int) -> int | None:
         """Create and return the first level-n node, or None if level n is empty.
@@ -183,16 +171,15 @@ class CSTree:
             self.complete_level = max(self.complete_level, n)
             return None
         self._first.append(self._first[-1] + len(self._rows[-1]))
-        self._buffer = np.zeros((0, n + 1), dtype=np.int32)
-        self._rows.append(self._buffer[:, :n])
-        self._parent.append(self._buffer[:, n])
+        self._buffer = np.zeros((0, n), dtype=np.int32)
+        self._rows.append(self._buffer)
         self._grown_from = 0
         if n == 1:
             # the root's children are all the variables
-            self._append(1, np.arange(self.graph.variable_count)[:, None], 0)
+            self._append(1, np.arange(self.graph.variable_count)[:, None])
             self._grown_from = 1
         if not len(self._rows[n]) and not self._grow(n):
-            del self._first[n], self._rows[n], self._parent[n]
+            del self._first[n], self._rows[n]
             self.complete_level = max(self.complete_level, n)
             return None
         self.node_count = self._first[n]
@@ -214,16 +201,6 @@ class CSTree:
         if q > self.node_count:
             self.node_count = q
         return q
-
-    def dump(self) -> str:
-        """One line per node: "node_id parent_id label level"."""
-        lines = ["0 -1 -1 0"]
-        for n in range(1, self.level_count + 1):
-            first, rows = self.level(n)
-            parents = (self._parent[n][: len(rows)] + self._first[n - 1]).tolist()
-            for i, (parent, label) in enumerate(zip(parents, rows[:, -1].tolist())):
-                lines.append(f"{first + i} {parent} {label} {n}")
-        return "\n".join(lines) + "\n"
 
 
 def enumerate_connected_subsets(graph: FactorGraph, max_size: int | None = None):

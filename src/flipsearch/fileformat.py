@@ -22,7 +22,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .model import Factor, FactorGraph, ModelError, build_factor_graph
+from .model import MAX_VARIABLES, FactorGraph, ModelError, check_factor, graph_from_arrays
+from .model import build_factor_graph  # noqa: F401  (perfbench/spans.py traces it here)
 from .solver import TraceRecord
 
 __all__ = [
@@ -94,10 +95,14 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
         raise ModelFormatError(number, f"bad variable count {parts[1]!r}")
     if m < 0:
         raise ModelFormatError(number, f"negative variable count {m}")
+    if m > MAX_VARIABLES:
+        raise ModelFormatError(number, f"variable count {m} exceeds {MAX_VARIABLES}")
 
-    factors = []
-    # line numbers of each factor's scope and values, to place build errors;
-    # arrays, because a tuple per factor would weigh on large models
+    # every factor's arity, scope and values, end to end; the line numbers
+    # of its scope and values place an error the model's checks find
+    arity = array("q")
+    scopes = array("q")
+    values = array("d")
     scope_lines = array("q")
     value_lines = array("q")
     for number, line in lines:
@@ -105,34 +110,40 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
         if parts[0] != "factor":
             raise ModelFormatError(number, f"expected 'factor ...', got {line!r}")
         try:
-            arity = int(parts[1])
+            k = int(parts[1])
         except (IndexError, ValueError):
             raise ModelFormatError(number, "bad factor arity")
-        if arity < 1:
-            raise ModelFormatError(number, f"factor arity must be >= 1, got {arity}")
-        if len(parts) != 2 + arity:
+        if k < 1:
+            raise ModelFormatError(number, f"factor arity must be >= 1, got {k}")
+        if len(parts) != 2 + k:
             raise ModelFormatError(
-                number, f"expected {arity} scope indices, got {len(parts) - 2}"
+                number, f"expected {k} scope indices, got {len(parts) - 2}"
             )
         try:
-            scope = tuple(int(p) for p in parts[2:])
+            scopes.extend(map(int, parts[2:]))
         except ValueError:
             raise ModelFormatError(number, "bad scope index")
+        except OverflowError:  # a variable beyond int64 is out of range
+            try:
+                check_factor(len(arity), [int(p) for p in parts[2:]], (), m)
+            except ModelError as exc:
+                raise ModelFormatError(number, str(exc)) from exc
         vnumber, vline = next_line("factor value table")
         vparts = vline.split()
-        if len(vparts) != 2**arity:
+        if len(vparts) != 2**k:
             raise ModelFormatError(
-                vnumber, f"expected {2 ** arity} values, got {len(vparts)}"
+                vnumber, f"expected {2 ** k} values, got {len(vparts)}"
             )
         try:
-            table = tuple(float(p) for p in vparts)
+            values.extend(map(float, vparts))
         except ValueError:
             raise ModelFormatError(vnumber, "bad table value")
-        factors.append(Factor(scope=scope, table=table))
+        arity.append(k)
         scope_lines.append(number)
         value_lines.append(vnumber)
+    arity = np.asarray(arity)
     try:
-        return build_factor_graph(m, factors)
+        return graph_from_arrays(m, arity, np.asarray(scopes), 1 << arity, np.asarray(values))
     except ModelError as exc:
         lines_of = value_lines if exc.part == "table" else scope_lines
         raise ModelFormatError(lines_of[exc.factor], str(exc)) from exc

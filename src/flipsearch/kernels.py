@@ -1,27 +1,23 @@
-"""Energy kernels over a factor graph's factor list and incidence lists.
+"""Flip-delta kernels over a FactorGraph's arrays.
 
-`total_energy` and `flip_delta` are plain Python. `bits` must yield Python
-ints (or bools) when indexed, e.g. a list or a memoryview of a uint8 array:
+`flip_delta` is plain Python over memoryviews of the arrays, whose items
+are Python ints and floats (`scalar_view`). `bits` must yield Python ints
+(or bools) when indexed, e.g. a list or a memoryview of a uint8 array:
 table indices are built from them with Python int arithmetic, which never
 wraps, so factors of any arity select the right table entry.
 
 `flip_deltas` is the numpy form of `flip_delta` for a block of subsets of
-one size, over the `FactorArrays` of a model. It adds each subset's table
-values in the scalar order, so every delta it returns is bit for bit the
-value `flip_delta` returns for the same bits.
+one size. It adds each subset's table values in the scalar order, so every
+delta it returns is bit for bit the value `flip_delta` returns for the same
+bits.
 """
-
-from itertools import chain
-from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "USING_NUMBA",
-    "FactorArrays",
-    "factor_arrays",
-    "total_energy",
+    "scalar_view",
+    "table_index",
     "flip_delta",
     "flip_deltas",
 ]
@@ -36,75 +32,52 @@ USING_NUMBA = False
 BLOCK_CELLS = 1 << 18
 
 
-def total_energy(bits, factors):
-    """Sum over `factors` of the table entry selected by `bits`."""
-    # Table entries are indexed with the last scope variable varying fastest.
-    acc = 0.0
-    for f in factors:
-        idx = 0
-        for v in f.scope:
-            idx = 2 * idx + bits[v]
-        acc += f.table[idx]
-    return acc
+def scalar_view(graph):
+    """What `flip_delta` reads of `graph`: the factors' scopes without their
+    padding, end to end, where each starts, and memoryviews of the tables,
+    table starts and incidence."""
+    scopes = graph.scopes.T
+    real = scopes < graph.variable_count
+    scope_start = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))
+    arrays = scopes[real], scope_start, graph.tables, graph.table_start
+    return tuple(map(memoryview, arrays + (graph.incident, graph.incident_start)))
 
 
-def flip_delta(bits, subset, factors, incidence, in_subset, touched, stamp):
+def flip_delta(bits, subset, view, in_subset, touched, stamp):
     """Energy change of toggling `subset`, and the number of table lookups.
 
-    Each factor incident to the subset is evaluated once, before and after
-    the flip. `in_subset` (a bytearray over variables) must arrive all-zero
-    and is restored before returning; `touched` holds a stamp per factor, so
-    passing a fresh `stamp` per call means it never needs clearing.
+    `view` is the model's `scalar_view`. Each factor incident to the subset
+    is evaluated once, before and after the flip. `in_subset` (a bytearray
+    over variables) must arrive all-zero and is restored before returning;
+    `touched` holds a stamp per factor, so passing a fresh `stamp` per call
+    means it never needs clearing.
     """
+    scope, scope_start, tables, table_start, incident, incident_start = view
     for v in subset:
         in_subset[v] = 1
     delta = 0.0
     evals = 0
     for v in subset:
-        for fi in incidence[v]:
+        for fi in incident[incident_start[v] : incident_start[v + 1]]:
             if touched[fi] == stamp:
                 continue
             touched[fi] = stamp
-            f = factors[fi]
             idx_cur = 0
             idx_new = 0
-            for u in f.scope:
+            for u in scope[scope_start[fi] : scope_start[fi + 1]]:
                 b = bits[u]
                 idx_cur = 2 * idx_cur + b
                 idx_new = 2 * idx_new + (b ^ in_subset[u])
-            delta += f.table[idx_new]
-            delta -= f.table[idx_cur]
+            t = table_start[fi]
+            delta += tables[t + idx_new]
+            delta -= tables[t + idx_cur]
             evals += 2
     for v in subset:
         in_subset[v] = 0
     return delta, evals
 
 
-class FactorArrays(NamedTuple):
-    """A model's factors as flat arrays, for the numpy kernels.
-
-    `scopes[:, f]` is factor f's scope, left-padded with the dummy variable
-    m, whose bit is always 0, so one table index rule fits every arity.
-    Factor f's table starts at `tables[table_start[f]]`; the factors
-    incident to v are `incident[incident_start[v]:incident_start[v + 1]]`,
-    in factor order as in `FactorGraph.incidence`.
-    """
-
-    scopes: np.ndarray  # (max arity, factors) int32
-    tables: np.ndarray  # float64
-    table_start: np.ndarray  # (factors,) int64
-    incident: np.ndarray  # int32
-    incident_start: np.ndarray  # (variables + 1,) int64
-
-    def energy(self, bits: np.ndarray) -> float:
-        """Total energy of the m `bits`, summed in numpy's order, which is
-        not the scalar kernel's."""
-        bits = np.append(bits, np.uint8(0))  # the dummy variable's bit
-        idx = self.table_start + _table_index(bits.take(self.scopes))
-        return float(self.tables.take(idx).sum())
-
-
-def _table_index(bits: np.ndarray) -> np.ndarray:
+def table_index(bits: np.ndarray) -> np.ndarray:
     """Table entries selected by `bits`, one row of bits per scope slot,
     the last slot being the least significant bit."""
     idx = np.zeros(bits.shape[1], dtype=np.int64)
@@ -114,40 +87,7 @@ def _table_index(bits: np.ndarray) -> np.ndarray:
     return idx
 
 
-def factor_arrays(variable_count: int, factors) -> FactorArrays:
-    """Flat arrays of `factors`, read straight from their scope and table
-    tuples without a per-factor copy."""
-    count = len(factors)
-    scope_tuples = list(map(attrgetter("scope"), factors))
-    arity = np.fromiter(map(len, scope_tuples), np.int64, count)
-    width = int(arity.max()) if count else 1
-    flat = np.fromiter(chain.from_iterable(scope_tuples), np.int32, int(arity.sum()))
-    del scope_tuples
-    scopes = np.full((width, count), variable_count, dtype=np.int32)
-    # boolean assignment through the transpose fills factor by factor, each
-    # factor's rightmost `arity` slots left to right
-    scopes.T[np.arange(width) >= width - arity[:, None]] = flat
-    size = np.left_shift(1, arity)
-    tables = np.fromiter(
-        chain.from_iterable(map(attrgetter("table"), factors)),
-        np.float64,
-        int(size.sum()),
-    )
-    # a stable sort of the scope entries by variable lists each variable's
-    # factors in factor order
-    owner = np.repeat(np.arange(count, dtype=np.int32), arity)
-    incident_start = np.zeros(variable_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=variable_count), out=incident_start[1:])
-    return FactorArrays(
-        scopes=scopes,
-        tables=tables,
-        table_start=np.cumsum(size) - size,
-        incident=owner[np.argsort(flat, kind="stable")],
-        incident_start=incident_start,
-    )
-
-
-def flip_deltas(bits: np.ndarray, rows: np.ndarray, fa: FactorArrays):
+def flip_deltas(bits: np.ndarray, rows: np.ndarray, graph):
     """Energy changes of toggling each row of `rows`, and the table lookups
     per row.
 
@@ -163,30 +103,30 @@ def flip_deltas(bits: np.ndarray, rows: np.ndarray, fa: FactorArrays):
     """
     count, n = rows.shape
     cells = rows.ravel()
-    start = fa.incident_start.take(cells)
-    degree = fa.incident_start.take(cells + 1) - start
+    start = graph.incident_start.take(cells)
+    degree = graph.incident_start.take(cells + 1) - start
     size = int(degree.sum())
-    if count > 1 and size * len(fa.scopes) * n > BLOCK_CELLS:
+    if count > 1 and size * len(graph.scopes) * n > BLOCK_CELLS:
         half = count // 2
-        head = flip_deltas(bits, rows[:half], fa)
-        tail = flip_deltas(bits, rows[half:], fa)
+        head = flip_deltas(bits, rows[:half], graph)
+        tail = flip_deltas(bits, rows[half:], graph)
         return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
     bits = np.append(bits, np.uint8(0))  # the dummy variable's bit
     # entry i is factor f[i], incident to the variable at `position[i]` of
     # row `row[i]`; entries come in the scalar visiting order, row by row
     offset = np.repeat(start - np.cumsum(degree) + degree, degree)
-    f = fa.incident.take(offset + np.arange(size))
+    f = graph.incident.take(offset + np.arange(size))
     cell = np.arange(count * n, dtype=np.int32)
     row, position = np.repeat(cell // n, degree), np.repeat(cell % n, degree)
     # hit[a, j, i]: scope slot a of entry i holds the variable at row position j
-    scope = fa.scopes.take(f, axis=1)
+    scope = graph.scopes.take(f, axis=1)
     hit = scope[:, None, :] == np.ascontiguousarray(rows.T).take(row, axis=1)
     earlier = np.arange(n)[:, None] < position
     keep = ~(hit.any(axis=0) & earlier).any(axis=0)
-    base = fa.table_start.take(f)
+    base = graph.table_start.take(f)
     b = bits.take(scope)
-    cur = base + _table_index(b)
-    new = base + _table_index(b ^ hit.any(axis=1))
+    cur = base + table_index(b)
+    new = base + table_index(b ^ hit.any(axis=1))
     # terms[r, 1 + 2c] and terms[r, 2 + 2c] hold the table values gained and
     # lost (negated) at row r's c-th entry; an add.accumulate along each row
     # adds them in that order to the +0.0 of terms[r, 0]
@@ -195,7 +135,7 @@ def flip_deltas(bits: np.ndarray, rows: np.ndarray, fa: FactorArrays):
     terms = np.zeros((count, 1 + 2 * int(entries.max(initial=0))))
     at = row * terms.shape[1] + 1 + 2 * column
     flat = terms.reshape(-1)
-    flat[at] = np.where(keep, fa.tables.take(new), 0.0)
-    flat[at + 1] = np.where(keep, -fa.tables.take(cur), 0.0)
+    flat[at] = np.where(keep, graph.tables.take(new), 0.0)
+    flat[at + 1] = np.where(keep, -graph.tables.take(cur), 0.0)
     delta = np.add.accumulate(terms, axis=1)[:, -1]
     return delta, 2 * np.bincount(row[keep], minlength=count)

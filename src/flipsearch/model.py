@@ -9,7 +9,10 @@ are adjacent iff they co-occur in some factor scope; this adjacency is what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +29,13 @@ __all__ = [
     "flip",
     "neighbors",
 ]
+
+# Scopes are int32 arrays padded with the dummy variable m, so m must fit.
+MAX_VARIABLES = int(np.iinfo(np.int32).max)
+
+# Two energies of the same bits, summed in different orders, agree when
+# they differ by at most ENERGY_REL_TOL * max(1, |E|).
+ENERGY_REL_TOL = 1e-9
 
 
 class ModelError(ValueError):
@@ -64,30 +74,52 @@ class Factor:
         return len(self.scope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorGraph:
-    """Immutable factor graph over binary variables 0..m-1.
+    """Immutable factor graph over binary variables 0..m-1, held in
+    read-only flat arrays.
 
-    `adjacency[v]` lists the variables sharing a factor with v, sorted;
-    `incidence[v]` lists the indices of the factors whose scope holds v, in
-    factor order. The kernels and the CS-tree read only these and `factors`.
+    `scopes[:, f]` is factor f's scope, left-padded with the dummy variable
+    m, whose bit is always 0, so one table index rule fits every arity.
+    Factor f's table starts at `tables[table_start[f]]`. The factors whose
+    scope holds v are `incident[incident_start[v]:incident_start[v + 1]]`,
+    in factor order; the variables sharing a factor with v are
+    `adjacent[adjacent_start[v]:adjacent_start[v + 1]]`, sorted.
     """
 
     variable_count: int
-    factors: tuple[Factor, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    incidence: tuple[tuple[int, ...], ...]
+    scopes: np.ndarray  # (max arity or 1, factors) int32
+    tables: np.ndarray  # float64
+    table_start: np.ndarray  # (factors,) int64
+    incident: np.ndarray  # int32
+    incident_start: np.ndarray  # (variables + 1,) int64
+    adjacent: np.ndarray  # int32
+    adjacent_start: np.ndarray  # (variables + 1,) int64
+
+    def __post_init__(self):
+        for field in fields(self)[1:]:
+            getattr(self, field.name).flags.writeable = False
+
+    @cached_property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factors as `Factor` tuples, built on first use."""
+        scopes = self.scopes.T
+        real = scopes < self.variable_count
+        variables = iter(scopes[real].tolist())
+        values = iter(self.tables.tolist())
+        return tuple(
+            Factor(tuple(islice(variables, k)), tuple(islice(values, 1 << k)))
+            for k in np.count_nonzero(real, axis=1).tolist()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, FactorGraph):
             return NotImplemented
         return (
             self.variable_count == other.variable_count
-            and self.factors == other.factors
+            and np.array_equal(self.scopes, other.scopes)
+            and np.array_equal(self.tables, other.tables)
         )
-
-    def __hash__(self):
-        return hash((self.variable_count, self.factors))
 
 
 @dataclass
@@ -101,52 +133,104 @@ class Configuration:
     bits: np.ndarray
     energy: float
 
-    def copy(self) -> "Configuration":
-        return Configuration(self.bits.copy(), self.energy)
+
+def check_factor(fi: int, scope: Sequence[int], table: Sequence[float], m: int) -> None:
+    """Raise the ModelError of factor fi, if it has one: an empty scope, a
+    repeated variable, a variable out of [0, m), a table of the wrong size
+    or a non-finite value, the first of these in that order."""
+
+    def fault(what: str, part: str = "scope") -> ModelError:
+        return ModelError(f"factor {fi}: {what}", fi, part)
+
+    if not scope:
+        raise fault("empty scope")
+    if len(set(scope)) != len(scope):
+        raise fault(f"duplicate variable in scope {tuple(scope)}")
+    for v in scope:
+        if not 0 <= v < m:
+            raise fault(f"variable {v} out of range [0, {m})")
+    if len(table) != 2 ** len(scope):
+        raise fault(f"table has {len(table)} entries, expected {2 ** len(scope)}", "table")
+    for x in table:
+        if not math.isfinite(x):
+            raise fault(f"non-finite table value {x}", "table")
 
 
 def build_factor_graph(variable_count: int, factors: Iterable[Factor]) -> FactorGraph:
-    """Validate factors and precompute adjacency and incidence."""
+    """Validate factors and lay them out in a FactorGraph's arrays."""
     m = int(variable_count)
     if m < 0:
         raise ModelError(f"variable_count must be non-negative, got {m}")
+    if m > MAX_VARIABLES:
+        raise ModelError(f"variable_count {m} exceeds {MAX_VARIABLES}")
     factors = tuple(factors)
-    neighbor_sets = [set() for _ in range(m)]
-    incidence = [[] for _ in range(m)]
-    for fi, f in enumerate(factors):
-        if f.arity < 1:
-            raise ModelError(f"factor {fi}: empty scope", fi, "scope")
-        if len(set(f.scope)) != f.arity:
-            raise ModelError(
-                f"factor {fi}: duplicate variable in scope {f.scope}", fi, "scope"
-            )
-        for v in f.scope:
-            if not 0 <= v < m:
-                raise ModelError(
-                    f"factor {fi}: variable {v} out of range [0, {m})", fi, "scope"
-                )
-        if len(f.table) != 2**f.arity:
-            raise ModelError(
-                f"factor {fi}: table has {len(f.table)} entries, "
-                f"expected {2 ** f.arity}",
-                fi,
-                "table",
-            )
-        for x in f.table:
-            if not math.isfinite(x):
-                raise ModelError(
-                    f"factor {fi}: non-finite table value {x}", fi, "table"
-                )
-        for v in f.scope:
-            incidence[v].append(fi)
-            for u in f.scope:
-                if u != v:
-                    neighbor_sets[v].add(u)
+    scopes = list(map(attrgetter("scope"), factors))
+    tables = list(map(attrgetter("table"), factors))
+    arity = np.fromiter(map(len, scopes), np.int64, len(factors))
+    sizes = np.fromiter(map(len, tables), np.int64, len(factors))
+    try:
+        flat = np.fromiter(chain.from_iterable(scopes), np.int64, int(arity.sum()))
+    except OverflowError:  # a variable beyond int64 is out of range
+        for fi, f in enumerate(factors):
+            check_factor(fi, f.scope, f.table, m)
+    values = np.fromiter(chain.from_iterable(tables), np.float64, int(sizes.sum()))
+    return graph_from_arrays(m, arity, flat, sizes, values)
+
+
+def graph_from_arrays(
+    m: int, arity: np.ndarray, flat: np.ndarray, sizes: np.ndarray, values: np.ndarray
+) -> FactorGraph:
+    """The FactorGraph of factors with the int64 `arity` and table `sizes`,
+    their scopes and their tables laid end to end in `flat` and `values`.
+
+    Every factor is checked at once; the error raised is the one
+    `check_factor` raises for the first factor at fault.
+    """
+    count = len(arity)
+    owner = np.repeat(np.arange(count, dtype=np.int32), arity)
+    # each arity's scopes, one row per factor
+    groups = {
+        k: flat[np.repeat(arity == k, arity)].reshape(-1, k)
+        for k in np.unique(arity[arity > 1]).tolist()
+    }
+    # a table of 2^62 or more entries cannot exist
+    faulty = (arity < 1) | (sizes != np.left_shift(1, np.minimum(arity, 62)))
+    for k, group in groups.items():
+        ordered = np.sort(group, axis=1)
+        faulty[arity == k] |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    faulty[owner[(flat < 0) | (flat >= m)]] = True
+    table_end = np.cumsum(sizes)
+    faulty[np.searchsorted(table_end, np.flatnonzero(~np.isfinite(values)), "right")] = True
+    if faulty.any():
+        fi = int(np.argmax(faulty))
+        start = int(arity[:fi].sum())
+        scope = flat[start : start + arity[fi]].tolist()
+        table = values[table_end[fi] - sizes[fi] : table_end[fi]].tolist()
+        check_factor(fi, scope, table, m)
+
+    width = int(arity.max(initial=1))
+    scopes = np.full((width, count), m, dtype=np.int32)
+    # boolean assignment through the transpose fills factor by factor, each
+    # factor's rightmost `arity` slots left to right
+    scopes.T[np.arange(width) >= width - arity[:, None]] = flat
+    # a stable sort of the scope entries by variable lists each variable's
+    # factors in factor order
+    order = np.argsort(flat, kind="stable")
+    # adjacency from every ordered pair of scope slots of each arity's factors
+    keys = [np.zeros(0, dtype=np.int64)]
+    for k, group in groups.items():
+        first_slot, second_slot = np.nonzero(~np.eye(k, dtype=bool))
+        keys.append((group[:, first_slot] * m + group[:, second_slot]).ravel())
+    variable, neighbor = np.divmod(np.unique(np.concatenate(keys)), max(m, 1))
     return FactorGraph(
         variable_count=m,
-        factors=factors,
-        adjacency=tuple(tuple(sorted(s)) for s in neighbor_sets),
-        incidence=tuple(tuple(xs) for xs in incidence),
+        scopes=scopes,
+        tables=np.array(values, dtype=np.float64),
+        table_start=table_end - sizes,
+        incident=owner[order],
+        incident_start=np.searchsorted(flat[order], np.arange(m + 1)),
+        adjacent=neighbor.astype(np.int32),
+        adjacent_start=np.searchsorted(variable, np.arange(m + 1)),
     )
 
 
@@ -165,8 +249,13 @@ def _check_bits(graph: FactorGraph, bits: Sequence[int]) -> np.ndarray:
 
 
 def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
-    """Total energy: sum of all factor table entries selected by `bits`."""
-    return kernels.total_energy(_check_bits(graph, bits).tolist(), graph.factors)
+    """Total energy: sum of all factor table entries selected by `bits`,
+    added one by one in factor order, starting from +0.0."""
+    bits = np.append(_check_bits(graph, bits), np.uint8(0))  # the dummy's bit
+    index = graph.table_start + kernels.table_index(bits.take(graph.scopes))
+    terms = np.concatenate(([0.0], graph.tables.take(index)))
+    # add.accumulate adds sequentially, so this is the plain loop's sum
+    return float(np.add.accumulate(terms)[-1])
 
 
 class _FlipScratch:
@@ -180,27 +269,20 @@ class _FlipScratch:
     bit for bit the scalar one while no variable in S or next to S has
     flipped since, S being the subset. `flipped` collects each flipped set T
     and its neighbours, and S is stale iff it meets them; a stale entry is
-    recomputed by the scalar kernel. The factor arrays are built on first
-    use, once per scratch.
+    recomputed by the scalar kernel.
     """
 
     def __init__(self, graph: FactorGraph):
         self.in_subset = bytearray(graph.variable_count)
-        self.touched = [0] * len(graph.factors)
+        self.touched = [0] * len(graph.table_start)
         self.stamp = 0
         self.evaluations = 0
-        self._arrays: kernels.FactorArrays | None = None
+        self._view = kernels.scalar_view(graph)
         self._rows = None
         # the block's deltas and lookups once computed, and the variables
         # in or next to a flip since then
         self._values = self._lookups = None
         self._dirty: set[int] = set()
-
-    def arrays(self, graph: FactorGraph) -> kernels.FactorArrays:
-        """The model's factor arrays, built on the first call."""
-        if self._arrays is None:
-            self._arrays = kernels.factor_arrays(graph.variable_count, graph.factors)
-        return self._arrays
 
     def load_block(self, rows: np.ndarray) -> None:
         """Make `rows`, a (B, n) array of subsets, the block that slots index."""
@@ -209,10 +291,9 @@ class _FlipScratch:
 
     def flipped(self, graph: FactorGraph, subset) -> None:
         """Record that the variables `subset` have just been toggled."""
-        dirty, adjacency = self._dirty, graph.adjacency
-        dirty.update(subset)
+        self._dirty.update(subset)
         for v in subset:
-            dirty.update(adjacency[v])
+            self._dirty.update(neighbors(graph, v))
 
     def delta(self, graph: FactorGraph, bits: np.ndarray, subset, slot=None) -> float:
         """Energy change of toggling the variables `subset` in `bits`.
@@ -222,7 +303,7 @@ class _FlipScratch:
         """
         if slot is not None:
             if self._values is None:
-                values, lookups = kernels.flip_deltas(bits, self._rows, self.arrays(graph))
+                values, lookups = kernels.flip_deltas(bits, self._rows, graph)
                 self._values, self._lookups = values.tolist(), lookups.tolist()
                 self._dirty.clear()
             if self._dirty.isdisjoint(subset):
@@ -230,13 +311,7 @@ class _FlipScratch:
                 return self._values[slot]
         self.stamp += 1
         d, evals = kernels.flip_delta(
-            memoryview(bits),
-            subset,
-            graph.factors,
-            graph.incidence,
-            self.in_subset,
-            self.touched,
-            self.stamp,
+            memoryview(bits), subset, self._view, self.in_subset, self.touched, self.stamp
         )
         self.evaluations += evals
         return d
@@ -261,10 +336,11 @@ def energy_after_flip(
     Only factors incident to the subset are evaluated (twice each); the
     configuration itself is not modified.
     """
+    bits = _check_bits(graph, config.bits)
     s = _check_subset(graph, subset)
     if scratch is None:
         scratch = _FlipScratch(graph)
-    return config.energy + scratch.delta(graph, config.bits, s)
+    return config.energy + scratch.delta(graph, bits, s)
 
 
 def flip(config: Configuration, subset, new_energy: float) -> Configuration:
@@ -279,7 +355,8 @@ def neighbors(graph: FactorGraph, j: int) -> tuple[int, ...]:
     """Sorted distinct variables sharing at least one factor with `j`."""
     if not 0 <= j < graph.variable_count:
         raise ModelError(f"variable {j} out of range")
-    return graph.adjacency[j]
+    start = graph.adjacent_start
+    return tuple(graph.adjacent[start[j] : start[j + 1]].tolist())
 
 
 def make_configuration(graph: FactorGraph, bits: Sequence[int]) -> Configuration:

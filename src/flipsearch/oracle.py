@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Configuration, FactorGraph, energy
+from .model import ENERGY_REL_TOL, Configuration, FactorGraph, energy, neighbors
 
 __all__ = [
     "EnumerationReport",
@@ -71,7 +71,7 @@ def enumerate_connected_subsets_recursive(
         raise ValueError(
             f"{m} variables exceed the enumeration guard {max_variables}"
         )
-    adjacency = graph.adjacency
+    adjacency = [neighbors(graph, v) for v in range(m)]
     counts: dict[int, int] = {}
     listing: list[frozenset[int]] = []
     for v in range(m):
@@ -105,7 +105,7 @@ def count_connected_sequences(graph: FactorGraph, subset, max_size: int = 8) -> 
     s = sorted(set(subset))
     if len(s) > max_size:
         raise ValueError(f"subset of {len(s)} variables exceeds guard {max_size}")
-    adjacency = [set(graph.adjacency[v]) for v in range(graph.variable_count)]
+    adjacency = [set(neighbors(graph, v)) for v in range(graph.variable_count)]
     count = 0
     for perm in itertools.permutations(s):
         ok = True
@@ -123,7 +123,7 @@ def verify_hamming_bound(
     config: Configuration,
     n: int,
     max_checks: int = 5_000_000,
-    rel_tol: float = 1e-9,
+    rel_tol: float = ENERGY_REL_TOL,
 ) -> bool:
     """True iff no flip of up to n variables (connected or not) strictly
     lowers the energy.

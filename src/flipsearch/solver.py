@@ -20,6 +20,7 @@ import numpy as np
 
 from .cstree import CSTree
 from .model import (
+    ENERGY_REL_TOL,
     Configuration,
     FactorGraph,
     ModelError,
@@ -98,13 +99,12 @@ def initial_configuration(
     if policy == "all_zero":
         return make_configuration(graph, np.zeros(m, dtype=np.uint8))
     if policy == "unary_min":
-        sum0 = np.zeros(m)
-        sum1 = np.zeros(m)
-        for f in graph.factors:
-            if f.arity == 1:
-                sum0[f.scope[0]] += f.table[0]
-                sum1[f.scope[0]] += f.table[1]
-        bits = (sum1 < sum0).astype(np.uint8)
+        # the unary tables, added per variable in factor order
+        unary = (graph.scopes[:-1] == m).all(axis=0)
+        entries = graph.table_start[unary][:, None] + [0, 1]
+        sums = np.zeros((m, 2))
+        np.add.at(sums, graph.scopes[-1, unary], graph.tables[entries])
+        bits = (sums[:, 1] < sums[:, 0]).astype(np.uint8)
         return make_configuration(graph, bits)
     if policy == "given":
         if given is None:
@@ -184,40 +184,29 @@ class _Run:
             s = step(s)
 
 
-def _check_energy(graph: FactorGraph, config: Configuration, scratch: _FlipScratch) -> None:
-    """Raise ModelError unless `config.energy` is, within 1e-9 * max(1, |E|),
-    the energy E of its bits."""
-    given = config.energy
-
-    def matches(e: float) -> bool:
-        return abs(given - e) <= 1e-9 * max(1.0, abs(e))
-
-    e = scratch.arrays(graph).energy(config.bits)
-    if math.isfinite(given) and not matches(e):
-        # numpy sums in another order than `energy`, so a miss is confirmed
-        # with the scalar sum before it is reported
-        e = energy(graph, config.bits)
-    if not (math.isfinite(given) and matches(e)):
-        raise ModelError(
-            f"configuration energy {given!r} is not the energy of its bits, {e!r}"
-        )
-
-
 def flip_search(
     graph: FactorGraph, config: Configuration, params: SolveParams
 ) -> SolveResult:
     """Run the depth-limited flip search from `config` (modified in place).
 
     Bits that are not a uint8 array are replaced by a checked uint8 copy;
-    an energy that is not the energy of the bits raises ModelError.
+    an energy that is not, within ENERGY_REL_TOL * max(1, |E|), the energy
+    E of the bits raises ModelError. A run stopped by its time limit reports
+    as completed the last depth it finished, or 0 if it has flipped since.
     """
     config.bits = _check_bits(graph, config.bits)
+    given, e = config.energy, energy(graph, config.bits)
+    if not (math.isfinite(given) and abs(given - e) <= ENERGY_REL_TOL * max(1.0, abs(e))):
+        raise ModelError(
+            f"configuration energy {given!r} is not the energy of its bits, {e!r}"
+        )
     run = _Run(graph, config, params)
-    _check_energy(graph, config, run.scratch)
     tree = run.tree
     tags_a = TagList(graph.variable_count)
     tags_b = TagList(graph.variable_count)
     completed = 0
+    # flips accepted when depth `completed` was finished
+    certified_flips = 0
     time_up = False
     run.record()
     try:
@@ -251,12 +240,17 @@ def flip_search(
                 tags_a.untag_all()
                 tags_a, tags_b = tags_b, tags_a
             completed = n
+            certified_flips = run.flips_accepted
             if n == params.max_depth:
                 break
             n += 1
             run.record()
     except _TimeUp:
         time_up = True
+        if run.flips_accepted > certified_flips:
+            # a flip of the unfinished depth can open improving flips of
+            # any smaller size, and their revisits did not all run
+            completed = 0
     run.record()
     recomputed = energy(graph, run.config.bits)
     return SolveResult(

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 import numpy as np
 
 from .cstree import CSTree
-from .model import FactorGraph
+from .model import FactorGraph, neighbors
 
 __all__ = ["TagList"]
 
@@ -19,31 +17,29 @@ class TagList:
     The traversal methods drive the revisiting sweeps over the created part
     of the CS-tree and never grow it: a sweep visits, in level order, every
     node whose subset holds a tagged variable. The nodes are selected one
-    level at a time as `flags[rows].any(axis=1)`, and the selection is kept
-    until a tag changes or the tree grows.
+    level at a time as `flags[rows].any(axis=1)`, into one ascending int64
+    array of node ids that is kept until a tag changes or the tree grows.
     """
 
     def __init__(self, variable_count: int):
         self.flags = np.zeros(variable_count, dtype=bool)
         self.tagged: list[int] = []
-        self.flag_writes = 0  # diagnostic, counts individual flag mutations
-        # the selected node ids, and the (tree, node count) they were made for
-        self._selection: list[int] = []
+        # the selected node ids, the (tree, node count) they were made for,
+        # and the position of the node `next_tagged_subset` returned last
+        self._selection = np.zeros(0, dtype=np.int64)
         self._selected_in = None
+        self._at = 0
 
     def tag(self, x: int) -> None:
         if not 0 <= x < self.flags.shape[0]:
             raise IndexError(f"variable {x} out of range")
         if not self.flags[x]:
             self.flags[x] = True
-            self.flag_writes += 1
             self.tagged.append(x)
             self._selected_in = None
 
     def untag_all(self) -> None:
-        for x in self.tagged:
-            self.flags[x] = False
-            self.flag_writes += 1
+        self.flags[self.tagged] = False
         self.tagged.clear()
         self._selected_in = None
 
@@ -51,34 +47,38 @@ class TagList:
         """Tag the variables of node s's subset and all their graph neighbors."""
         for v in tree.sequence_of(s):
             self.tag(v)
-            for u in graph.adjacency[v]:
+            for u in neighbors(graph, v):
                 self.tag(u)
 
-    def _selected(self, tree: CSTree) -> list[int]:
+    def _selected(self, tree: CSTree) -> np.ndarray:
         """Ids of the created nodes whose subset holds a tagged variable."""
         if self._selected_in != (tree, tree.node_count):
             self._selected_in = (tree, tree.node_count)
-            self._selection = []
+            hits = [np.zeros(0, dtype=np.int64)]
             for n in range(1, tree.level_count + 1) if self.tagged else ():
                 first, rows = tree.level(n)
-                hit = np.flatnonzero(self.flags[rows].any(axis=1))
-                self._selection += (first + hit).tolist()
+                hits.append(first + np.flatnonzero(self.flags[rows].any(axis=1)))
+            self._selection = np.concatenate(hits)
         return self._selection
 
     def selected_from(self, tree: CSTree, s: int, count: int) -> np.ndarray:
         """Ids of the first `count` selected nodes from s on, in level order."""
         selection = self._selected(tree)
-        i = bisect_left(selection, s)
-        return np.array(selection[i : i + count])
+        i = int(np.searchsorted(selection, s))
+        return selection[i : i + count]
 
     def first_tagged_subset(self, tree: CSTree) -> int | None:
         """First created node, in level order, whose subset holds a tagged variable."""
         selection = self._selected(tree)
-        return selection[0] if selection else None
+        return selection.item(0) if len(selection) else None
 
     def next_tagged_subset(self, tree: CSTree, s: int) -> int | None:
         """Next created node after s, in level order and across levels, whose
         subset holds a tagged variable."""
         selection = self._selected(tree)
-        i = bisect_right(selection, s)
-        return selection[i] if i < len(selection) else None
+        # a sweep asks for the successor of the node handed out last
+        i = self._at + 1
+        if not (i <= len(selection) and selection.item(i - 1) == s):
+            i = int(np.searchsorted(selection, s, side="right"))
+        self._at = i
+        return selection.item(i) if i < len(selection) else None

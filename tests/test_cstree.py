@@ -13,6 +13,7 @@ from flipsearch import (
     enumerate_connected_subsets,
     cstree,
     enumerate_connected_subsets_recursive,
+    neighbors,
 )
 from conftest import (
     build_levels,
@@ -33,7 +34,7 @@ def is_connected(graph, subset):
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for u in graph.adjacency[v]:
+        for u in neighbors(graph, v):
             if u in subset and u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -95,13 +96,7 @@ class TestGrowth:
         # one growth step built all seven pairs, but only one is handed out
         assert tree.node_count == p == 7
         assert tree.level(2)[1].tolist() == [[0, 1]]
-        assert len(tree.dump().splitlines()) == 8
-
-    def test_csr_built_only_beyond_level_one(self, grid):
-        tree = build_levels(grid, 1)
-        assert tree._offsets is None
-        tree.first_subset_of_size(2)
-        assert tree._offsets is not None
+        assert [len(tree.level(n)[1]) for n in (1, 2)] == [6, 1]
 
 
 class TestLevelIteration:
@@ -215,30 +210,31 @@ def test_max_size_cutoff(grid):
     assert dict(counts) == {1: 6, 2: 7}
 
 
-def test_dump_format():
+def test_level_one_holds_the_singletons_after_the_root():
     g = grid_graph()
     tree = CSTree(g)
     p = tree.first_subset_of_size(1)
     while p is not None:
         p = tree.next_subset_of_same_size(p)
-    lines = tree.dump().splitlines()
-    assert lines[0] == "0 -1 -1 0"  # root
-    assert lines[1] == "1 0 0 1"
-    assert len(lines) == 7  # root plus six singletons
-    for node_id, line in enumerate(lines):
-        fields = line.split()
-        assert len(fields) == 4
-        assert int(fields[0]) == node_id
+    assert tree.level_count == 1
+    assert tree.node_count == 6  # six singletons below the root
+    first, rows = tree.level(1)
+    assert first == 1
+    for node_id in range(1, 7):
+        assert tree.sequence_of(node_id) == (node_id - 1,)
+    assert rows.tolist() == [[v] for v in range(6)]
 
 
-def test_dump_parents_and_labels_at_level_two(grid):
+def test_prefixes_and_labels_at_level_two(grid):
     tree = build_levels(grid, 2)
-    lines = tree.dump().splitlines()
-    assert len(lines) == 1 + 6 + 7
-    # node 8 is (0, 3): child of node 1 = (0), label 3
-    assert lines[8] == "8 1 3 2"
-    # node 9 is (1, 2): child of node 2 = (1)
-    assert lines[9] == "9 2 2 2"
+    assert tree.node_count == 6 + 7
+    assert tree.level(2)[0] == 7
+    # node 8 is (0, 3): its prefix (0,) is node 1 and its label is 3
+    assert tree.sequence_of(8) == (0, 3)
+    assert node_for(tree, tree.sequence_of(8)[:-1]) == 1
+    # node 9 is (1, 2): its prefix (1,) is node 2
+    assert tree.sequence_of(9) == (1, 2)
+    assert node_for(tree, tree.sequence_of(9)[:-1]) == 2
 
 
 def scalar_levels(graph):

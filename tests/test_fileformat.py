@@ -43,6 +43,38 @@ def test_roundtrip_is_value_exact():
     assert roundtrip(g).factors[0].table == table
 
 
+def test_roundtrip_keeps_every_bit_of_every_value():
+    tiny = 5e-324  # the smallest subnormal
+    values = (
+        0.0, -0.0, tiny, -tiny, 2.225073858507201e-308, -2.2250738585072014e-308,
+        1e308, -1e308, 1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -7.0,
+        float(np.nextafter(1.0, 2.0)), 123456789.0, 1e-300, -1e-15,
+    )
+    g = build_factor_graph(
+        5, [Factor((0, 1, 2, 3), values), Factor((4,), (-0.0, tiny)), Factor((2,), (1e308, -1e308))]
+    )
+    back = roundtrip(g)
+    assert [[x.hex() for x in f.table] for f in back.factors] == [
+        [x.hex() for x in f.table] for f in g.factors
+    ]
+    assert [f.scope for f in back.factors] == [f.scope for f in g.factors]
+
+
+@pytest.mark.parametrize(
+    "text,bad_line,message",
+    [
+        ("bfg 1\nvars 2147483648\n", 2, "variable count 2147483648 exceeds"),
+        ("bfg 1\nvars 2\nfactor 1 2147483648\n1 2\n", 3, "variable 2147483648 out"),
+        ("bfg 1\nvars 2\nfactor 2 0 -2147483649\n1 2 3 4\n", 3, "variable -2147483649 out"),
+        (f"bfg 1\nvars 2\nfactor 1 0\n1 2\nfactor 1 {10**30}\n1 2\n", 5, f"factor 1: variable {10**30} out"),
+    ],
+)
+def test_counts_and_indices_beyond_int32_are_rejected(text, bad_line, message):
+    with pytest.raises(ModelFormatError, match=message) as exc_info:
+        parse_model(io.StringIO(text))
+    assert exc_info.value.line_number == bad_line
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# model\nbfg 1\n\nvars 2\n# a factor\nfactor 1 0\n0.25 0.75\n"
     g = parse_model(io.StringIO(text))

@@ -10,6 +10,7 @@ from flipsearch import (
     generate_ising,
     generate_subgraph_grid,
     junction_potential,
+    neighbors,
 )
 
 
@@ -47,8 +48,8 @@ class TestIsing:
 
     def test_grid_adjacency(self):
         g = generate_ising(IsingSpec(2, 3, alpha=0.1, seed=0))
-        assert g.adjacency[0] == (1, 3)  # corner
-        assert g.adjacency[1] == (0, 2, 4)  # mid-edge
+        assert neighbors(g, 0) == (1, 3)  # corner
+        assert neighbors(g, 1) == (0, 2, 4)  # mid-edge
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

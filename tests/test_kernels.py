@@ -3,29 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsearch import Factor, build_factor_graph, kernels
+from flipsearch import Factor, build_factor_graph, energy, kernels
 from flipsearch.model import _FlipScratch
 
 from conftest import build_levels, random_graph
 
 
 def energy_from_scratch(graph, bits):
-    """Sum of table entries, each index read from the scope's bit string."""
-    return sum(
-        f.table[int("".join(str(bits[v]) for v in f.scope), 2)]
-        for f in graph.factors
-    )
+    """Sum of table entries in factor order from +0.0, each index read from
+    the scope's bit string."""
+    total = 0.0
+    for f in graph.factors:
+        total += f.table[int("".join(str(bits[v]) for v in f.scope), 2)]
+    return total
 
 
 def test_total_energy_matches_recompute():
+    """`energy` is the plain sum, bit for bit."""
     rng = np.random.default_rng(5)
     for _ in range(30):
         m = int(rng.integers(1, 15))
         g = random_graph(rng, m, max_arity=6)
         bits = rng.integers(0, 2, size=m).tolist()
-        assert kernels.total_energy(bits, g.factors) == pytest.approx(
-            energy_from_scratch(g, bits), rel=1e-12, abs=1e-12
-        )
+        assert energy(g, bits).hex() == energy_from_scratch(g, bits).hex()
 
 
 def test_flip_delta_matches_recompute_and_restores_scratch():
@@ -34,18 +34,21 @@ def test_flip_delta_matches_recompute_and_restores_scratch():
         m = int(rng.integers(1, 15))
         g = random_graph(rng, m, max_arity=6)
         bits = rng.integers(0, 2, size=m).tolist()
+        view = kernels.scalar_view(g)
         in_subset = bytearray(m)
         touched = [0] * len(g.factors)
         for stamp in (1, 2, 3):
             size = int(rng.integers(1, m + 1))
             subset = [int(v) for v in rng.choice(m, size=size, replace=False)]
             delta, evals = kernels.flip_delta(
-                bits, subset, g.factors, g.incidence, in_subset, touched, stamp
+                bits, subset, view, in_subset, touched, stamp
             )
             flipped = [b ^ (v in subset) for v, b in enumerate(bits)]
             expected = energy_from_scratch(g, flipped) - energy_from_scratch(g, bits)
             assert delta == pytest.approx(expected, rel=1e-9, abs=1e-12)
-            incident = {fi for v in subset for fi in g.incidence[v]}
+            incident = {
+                fi for fi, f in enumerate(g.factors) if set(f.scope) & set(subset)
+            }
             assert evals == 2 * len(incident)
             assert in_subset == bytearray(m)  # restored for the next call
             assert {fi for fi, t in enumerate(touched) if t == stamp} == incident
@@ -78,7 +81,7 @@ def weighted_models(draw):
 def scalar_delta(graph, bits, subset):
     """`kernels.flip_delta` on a fresh scratch, the delta as its hex string."""
     d, lookups = kernels.flip_delta(
-        bits.tolist(), subset, graph.factors, graph.incidence,
+        bits.tolist(), subset, kernels.scalar_view(graph),
         bytearray(graph.variable_count), [0] * len(graph.factors), 1,
     )
     return d.hex(), lookups
@@ -94,9 +97,8 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
     """Whole levels and short runs of rows; small `BLOCK_CELLS` values make
     the kernel split blocks."""
     graph, rng = model
-    fa = kernels.factor_arrays(graph.variable_count, graph.factors)
     bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
-    empty = kernels.flip_deltas(bits, np.zeros((0, 1), dtype=np.int32), fa)
+    empty = kernels.flip_deltas(bits, np.zeros((0, 1), dtype=np.int32), graph)
     assert [len(x) for x in empty] == [0, 0]
     tree = build_levels(graph, depth)
     saved = kernels.BLOCK_CELLS
@@ -106,7 +108,7 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
             rows = tree.level(n)[1]
             lo = int(rng.integers(0, len(rows)))
             for block in (rows, rows[lo : lo + int(rng.integers(1, 5))]):
-                deltas, lookups = kernels.flip_deltas(bits, block, fa)
+                deltas, lookups = kernels.flip_deltas(bits, block, graph)
                 got = [(d.hex(), k) for d, k in zip(deltas.tolist(), lookups.tolist())]
                 assert got == [scalar_delta(graph, bits, row) for row in block.tolist()]
     finally:

@@ -22,8 +22,9 @@ from conftest import random_graph
 
 def test_single_variable_graph():
     g = build_factor_graph(1, [Factor((0,), (0.3, 0.7))])
-    assert g.adjacency == ((),)
-    assert g.incidence == ((0,),)
+    assert neighbors(g, 0) == ()
+    assert g.incident.tolist() == [0]
+    assert g.incident_start.tolist() == [0, 1]
 
 
 def test_grid_degrees(grid):
@@ -40,11 +41,78 @@ def test_grid_degrees(grid):
         [Factor((0,), (1.0, 2.0, 3.0))],
         [Factor((0,), (1.0, float("nan")))],
         [Factor((0,), (1.0, float("inf")))],
+        [Factor((2**31,), (1.0, 2.0))],
+        [Factor((0,), (1.0, 2.0)), Factor((-(2**70),), (1.0, 2.0))],
     ],
 )
 def test_build_rejects_invalid_factors(factors):
     with pytest.raises(ModelError):
         build_factor_graph(2, factors)
+
+
+def test_build_rejects_variable_counts_outside_int32():
+    with pytest.raises(ModelError, match="exceeds"):
+        build_factor_graph(2**31, [])
+    with pytest.raises(ModelError, match="non-negative"):
+        build_factor_graph(-1, [])
+
+
+def first_fault(m, factors):
+    """The error of the first factor at fault, checked one factor at a time:
+    (message, factor, part), or None."""
+    for fi, f in enumerate(factors):
+        if f.arity < 1:
+            return f"factor {fi}: empty scope", fi, "scope"
+        if len(set(f.scope)) != f.arity:
+            return f"factor {fi}: duplicate variable in scope {f.scope}", fi, "scope"
+        for v in f.scope:
+            if not 0 <= v < m:
+                return f"factor {fi}: variable {v} out of range [0, {m})", fi, "scope"
+        if len(f.table) != 2**f.arity:
+            message = f"factor {fi}: table has {len(f.table)} entries, expected {2 ** f.arity}"
+            return message, fi, "table"
+        for x in f.table:
+            if not np.isfinite(x):
+                return f"factor {fi}: non-finite table value {x}", fi, "table"
+    return None
+
+
+@st.composite
+def faulty_factors(draw):
+    """Factor lists over m variables in which each factor may carry one
+    fault, or none, so several factors may be at fault."""
+    m = draw(st.integers(1, 6))
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        fault = draw(st.sampled_from([None] * 5 + ["scope", "repeat", "range", "size", "value"]))
+        scope = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4, unique=True))
+        if fault == "scope":
+            scope = []
+        elif fault == "repeat":
+            scope.insert(draw(st.integers(0, len(scope))), draw(st.sampled_from(scope)))
+        elif fault == "range":
+            scope[draw(st.integers(0, len(scope) - 1))] = draw(st.sampled_from([-1, m, 2**40]))
+        size = 2 ** len(scope) + (draw(st.sampled_from([-1, 1])) if fault == "size" else 0)
+        table = [draw(st.sampled_from([0.0, -0.0, -1.5, 2.0])) for _ in range(size)]
+        if fault == "value":
+            table[draw(st.integers(0, size - 1))] = draw(
+                st.sampled_from([float("nan"), float("inf"), -float("inf")])
+            )
+        factors.append(Factor(tuple(scope), tuple(table)))
+    return m, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=faulty_factors())
+def test_bulk_checks_report_what_a_factor_by_factor_check_reports(case):
+    m, factors = case
+    expected = first_fault(m, factors)
+    if expected is None:
+        assert build_factor_graph(m, factors).factors == tuple(factors)
+        return
+    with pytest.raises(ModelError) as exc_info:
+        build_factor_graph(m, factors)
+    assert (str(exc_info.value), exc_info.value.factor, exc_info.value.part) == expected
 
 
 def test_build_rejects_empty_scope():
@@ -132,15 +200,14 @@ def test_adjacency_symmetry_and_incidence_random():
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(2, 13)))
         for j in range(g.variable_count):
-            for k in g.adjacency[j]:
-                assert j in g.adjacency[k]
+            for k in neighbors(g, j):
+                assert j in neighbors(g, k)
                 assert j != k
         # incidence against a naive rebuild
         for j in range(g.variable_count):
-            expected = tuple(
-                fi for fi, f in enumerate(g.factors) if j in f.scope
-            )
-            assert g.incidence[j] == expected
+            expected = [fi for fi, f in enumerate(g.factors) if j in f.scope]
+            start, end = g.incident_start[j : j + 2]
+            assert g.incident[start:end].tolist() == expected
 
 
 def test_evaluation_counter_counts_incident_factors(trap):
@@ -205,7 +272,15 @@ def test_flip_search_accepts_an_energy_within_tolerance():
     assert result.energy == pytest.approx(1e-9, abs=1e-15)
 
 
-def test_single_subset_evaluation_builds_no_factor_arrays(trap):
-    scratch = _FlipScratch(trap)
-    energy_after_flip(trap, make_configuration(trap, [0, 0]), {0, 1}, scratch)
-    assert scratch._arrays is None
+@pytest.mark.parametrize(
+    "bits", [np.array([0, 2], np.uint8), np.array([0, 1, 0], np.uint8), [0, 2]]
+)
+def test_energy_after_flip_rejects_bad_bits(bits):
+    g = build_factor_graph(2, [Factor((0, 1), (0.0, 1.0, 5.0, 7.0))])
+    with pytest.raises(ModelError):
+        energy_after_flip(g, Configuration(bits, 0.0), {0})
+
+
+def test_energy_after_flip_takes_a_list_of_valid_bits():
+    g = build_factor_graph(2, [Factor((0, 1), (0.0, 1.0, 5.0, 7.0))])
+    assert energy_after_flip(g, Configuration([0, 1], 1.0), {0}) == 7.0

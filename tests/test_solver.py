@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipsearch import (
     Factor,
@@ -16,8 +18,10 @@ from flipsearch import (
     make_configuration,
     verify_hamming_bound,
 )
+from flipsearch import solver
+from flipsearch.model import ENERGY_REL_TOL
 
-from conftest import random_graph
+from conftest import higher_order_models, random_graph
 
 
 class TestInitialConfiguration:
@@ -34,6 +38,11 @@ class TestInitialConfiguration:
             1, [Factor((0,), (0.9, 0.1)), Factor((0,), (0.3, 0.2))]
         )
         assert initial_configuration(g, "unary_min").bits.tolist() == [1]
+        # the second table alone would pick 0
+        g = build_factor_graph(
+            2, [Factor((0,), (1.0, 0.0)), Factor((1,), (0.0, 1.0)), Factor((0,), (0.0, 0.5))]
+        )
+        assert initial_configuration(g, "unary_min").bits.tolist() == [1, 0]
 
     def test_no_unary_defaults_to_zero(self):
         g = build_factor_graph(2, [Factor((0, 1), (1.0, 0.0, 0.0, 1.0))])
@@ -214,3 +223,110 @@ class TestIcm:
         result = icm(g, initial_configuration(g, "unary_min"))
         _, best = brute_force_minimize(g)
         assert result.recomputed_energy == pytest.approx(best, rel=1e-12)
+
+
+@st.composite
+def weighted_models(draw):
+    """`higher_order_models` structures (m may be 0, scopes may repeat) or
+    unary factors only, with random tables: small integers, so that flips
+    tie exactly, or spread floats."""
+    graph = draw(higher_order_models())
+    m = graph.variable_count
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scopes = [f.scope for f in graph.factors]
+    if m and draw(st.booleans()):
+        scopes = [(int(v),) for v in rng.integers(0, m, int(rng.integers(1, 2 * m)))]
+    integer = draw(st.booleans())
+    factors = []
+    for scope in scopes:
+        size = 2 ** len(scope)
+        table = rng.integers(-2, 3, size) if integer else rng.normal(size=size)
+        factors.append(Factor(scope, tuple(float(x) for x in table)))
+    bits = rng.integers(0, 2, m).astype(np.uint8)
+    return build_factor_graph(m, factors), bits
+
+
+def close(a, b):
+    return abs(a - b) <= ENERGY_REL_TOL * max(1.0, abs(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=weighted_models())
+def test_full_depth_reaches_the_brute_force_optimum(model):
+    g, bits = model
+    _, best = brute_force_minimize(g)
+    depth = max(1, g.variable_count)
+    result = flip_search(g, make_configuration(g, bits), SolveParams(max_depth=depth))
+    assert result.completed_depth == result.reached_depth == depth
+    assert not result.time_limit_hit
+    assert close(result.recomputed_energy, best)
+    assert close(result.energy, result.recomputed_energy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=weighted_models(), depth=st.integers(1, 3))
+def test_completed_depth_is_certified(model, depth):
+    g, bits = model
+    result = flip_search(g, make_configuration(g, bits), SolveParams(max_depth=depth))
+    assert result.completed_depth == depth
+    assert verify_hamming_bound(g, result.configuration, result.completed_depth)
+    assert close(result.energy, result.recomputed_energy)
+
+
+class _Clock:
+    """A perf_counter that advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_a_cut_after_a_deeper_flip_certifies_no_depth():
+    """(0, 0, 0) is 1-optimal; flipping {0, 1} at depth 2 makes flipping 2
+    improve, and the clock runs out right after that flip."""
+    g = build_factor_graph(
+        3,
+        [
+            Factor((0,), (0.0, 0.5)),
+            Factor((1,), (0.0, 0.5)),
+            Factor((0, 1), (3.0, 3.0, 3.0, 0.0)),
+            Factor((1, 2), (0.0, 1.0, 1.0, -1.0)),
+        ],
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "time", _Clock())
+        result = flip_search(
+            g,
+            make_configuration(g, [0, 0, 0]),
+            SolveParams(max_depth=2, time_limit=3.5, record_trace=False),
+        )
+    assert result.time_limit_hit
+    assert result.configuration.bits.tolist() == [1, 1, 0]
+    assert not verify_hamming_bound(g, result.configuration, 1)
+    assert result.completed_depth == 0
+    assert result.reached_depth == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=weighted_models(), depth=st.integers(1, 4), ticks=st.integers(1, 40))
+def test_a_run_cut_short_reports_an_honest_depth(model, depth, ticks):
+    """The clock runs out after about `ticks` evaluations; whatever depth the
+    run reports as completed must hold its certificate."""
+    g, bits = model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "time", _Clock())
+        result = flip_search(
+            g,
+            make_configuration(g, bits),
+            SolveParams(max_depth=depth, time_limit=ticks + 0.5, record_trace=False),
+        )
+    assert result.completed_depth <= result.reached_depth <= depth
+    if result.time_limit_hit:
+        assert result.completed_depth < depth
+    else:
+        assert result.completed_depth == depth
+    assert verify_hamming_bound(g, result.configuration, result.completed_depth)
+    assert close(result.energy, result.recomputed_energy)
