@@ -2,7 +2,7 @@
 search over connected variable subsets, with brute-force oracles and seeded
 model generators for verification at small scale."""
 
-from .cstree import CSTree, csr_extendable, enumerate_connected_subsets
+from .cstree import CSTree, enumerate_connected_subsets
 from .fileformat import parse_model, write_model
 from .generators import (
     IsingSpec,
@@ -25,6 +25,7 @@ from .model import (
 from .oracle import (
     brute_force_minimize,
     count_connected_sequences,
+    csr_extendable,
     enumerate_connected_subsets_recursive,
     verify_hamming_bound,
 )

@@ -13,35 +13,16 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .model import FactorGraph, neighbors
+from .model import FactorGraph
 
 __all__ = [
     "CSTree",
-    "csr_extendable",
     "enumerate_connected_subsets",
 ]
 
 # Parent rows are taken into one growth step until their (row, neighbour)
 # candidate pairs reach this many, so transient arrays stay small.
 GROWTH_CANDIDATES = 4096
-
-
-def csr_extendable(graph: FactorGraph, path, v: int) -> bool:
-    """May `v` be appended to the canonical sequence `path`?
-
-    Yes iff (i) v is not in path, (ii) v is adjacent to some path element,
-    (iii) v exceeds the first element, and (iv) if i >= 1 is the first
-    position with v adjacent to path[i-1], every element from path[i] on is
-    smaller than v. `CSTree` applies this rule to whole levels at once.
-    """
-    if v <= path[0] or v in path:
-        return False
-    if not any(v in neighbors(graph, p) for p in path):
-        return False
-    for i in range(1, len(path)):
-        if v in neighbors(graph, path[i - 1]):
-            return all(p < v for p in path[i:])
-    return True
 
 
 class CSTree:
@@ -119,9 +100,15 @@ class CSTree:
         v = adjacent[offset + np.arange(len(cell))]
         larger = v > rows[cell // n, 0]
         cell, v = cell[larger], v[larger]
-        # unique keeps each (row, v) from its first position adjacent to v
+        # keep each (row, v) once, from its first position adjacent to v: a
+        # stable sort of the keys, then the first of each run (np.unique
+        # would do the same, but its first call imports numpy.ma mid-solve)
         m = self.graph.variable_count
-        pair, first = np.unique(cell // n * m + v, return_index=True)
+        key = cell // n * m + v
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        fresh = np.diff(key, prepend=-1) != 0
+        pair, first = key[fresh], order[fresh]
         row, v = np.divmod(pair, m)
         seq = rows[row]
         # v must not be in the row and must exceed every element after that

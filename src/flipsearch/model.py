@@ -188,10 +188,12 @@ def graph_from_arrays(
     """
     count = len(arity)
     owner = np.repeat(np.arange(count, dtype=np.int32), arity)
-    # each arity's scopes, one row per factor
+    # each arity's scopes, one row per factor; the arities come from a
+    # bincount, as np.unique imports numpy.ma on first use, and objects made
+    # then can pin memory a parse has just freed
     groups = {
         k: flat[np.repeat(arity == k, arity)].reshape(-1, k)
-        for k in np.unique(arity[arity > 1]).tolist()
+        for k in np.flatnonzero(np.bincount(arity[arity > 1])).tolist()
     }
     # a table of 2^62 or more entries cannot exist
     faulty = (arity < 1) | (sizes != np.left_shift(1, np.minimum(arity, 62)))
@@ -213,24 +215,35 @@ def graph_from_arrays(
     # boolean assignment through the transpose fills factor by factor, each
     # factor's rightmost `arity` slots left to right
     scopes.T[np.arange(width) >= width - arity[:, None]] = flat
-    # a stable sort of the scope entries by variable lists each variable's
-    # factors in factor order
-    order = np.argsort(flat, kind="stable")
-    # adjacency from every ordered pair of scope slots of each arity's factors
+    # adjacency from every ordered pair of scope slots of each arity's
+    # factors; temporaries are dropped as soon as they are used, as this
+    # step sets the peak memory of a parse
     keys = [np.zeros(0, dtype=np.int64)]
     for k, group in groups.items():
         first_slot, second_slot = np.nonzero(~np.eye(k, dtype=bool))
         keys.append((group[:, first_slot] * m + group[:, second_slot]).ravel())
-    variable, neighbor = np.divmod(np.unique(np.concatenate(keys)), max(m, 1))
+    del groups
+    keys = np.sort(np.concatenate(keys))
+    variable, neighbor = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(m, 1))
+    del keys
+    adjacent = neighbor.astype(np.int32)
+    adjacent_start = np.searchsorted(variable, np.arange(m + 1))
+    del variable, neighbor
+    # a stable sort of the scope entries by variable lists each variable's
+    # factors in factor order
+    order = np.argsort(flat, kind="stable")
+    incident = owner[order]
+    incident_start = np.searchsorted(flat[order], np.arange(m + 1))
+    del order, owner
     return FactorGraph(
         variable_count=m,
         scopes=scopes,
         tables=np.array(values, dtype=np.float64),
         table_start=table_end - sizes,
-        incident=owner[order],
-        incident_start=np.searchsorted(flat[order], np.arange(m + 1)),
-        adjacent=neighbor.astype(np.int32),
-        adjacent_start=np.searchsorted(variable, np.arange(m + 1)),
+        incident=incident,
+        incident_start=incident_start,
+        adjacent=adjacent,
+        adjacent_start=adjacent_start,
     )
 
 

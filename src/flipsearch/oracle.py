@@ -18,6 +18,7 @@ from .model import ENERGY_REL_TOL, Configuration, FactorGraph, energy, neighbors
 __all__ = [
     "EnumerationReport",
     "brute_force_minimize",
+    "csr_extendable",
     "enumerate_connected_subsets_recursive",
     "count_connected_sequences",
     "verify_hamming_bound",
@@ -97,6 +98,25 @@ def enumerate_connected_subsets_recursive(
         total=sum(counts.values()),
         subsets=listing if include_listing else None,
     )
+
+
+def csr_extendable(graph: FactorGraph, path, v: int) -> bool:
+    """May `v` be appended to the canonical sequence `path`?
+
+    Yes iff (i) v is not in path, (ii) v is adjacent to some path element,
+    (iii) v exceeds the first element, and (iv) if i >= 1 is the first
+    position with v adjacent to path[i-1], every element from path[i] on is
+    smaller than v. `CSTree._children` applies this rule to whole levels at
+    once; this is its scalar statement, which the tests hold it to.
+    """
+    if v <= path[0] or v in path:
+        return False
+    if not any(v in neighbors(graph, p) for p in path):
+        return False
+    for i in range(1, len(path)):
+        if v in neighbors(graph, path[i - 1]):
+            return all(p < v for p in path[i:])
+    return True
 
 
 def count_connected_sequences(graph: FactorGraph, subset, max_size: int = 8) -> int:

@@ -9,12 +9,12 @@ from flipsearch import (
     CSTree,
     build_factor_graph,
     Factor,
-    csr_extendable,
     enumerate_connected_subsets,
     cstree,
     enumerate_connected_subsets_recursive,
     neighbors,
 )
+from flipsearch.oracle import csr_extendable
 from conftest import (
     build_levels,
     grid_graph,

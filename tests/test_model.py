@@ -210,6 +210,23 @@ def test_adjacency_symmetry_and_incidence_random():
             assert g.incident[start:end].tolist() == expected
 
 
+def test_adjacency_matches_a_unique_of_all_scope_pairs():
+    """The sort-based deduplication of the (variable, neighbour) keys gives
+    the arrays that `np.unique` of the same keys gives."""
+    rng = np.random.default_rng(23)
+    graphs = [build_factor_graph(0, []), build_factor_graph(3, [Factor((1,), (0.0, 1.0))])]
+    for _ in range(40):
+        m = int(rng.integers(1, 25))
+        graphs.append(random_graph(rng, m, max_arity=5, with_unaries=bool(rng.integers(2))))
+    for g in graphs:
+        m = g.variable_count
+        keys = [a * m + b for f in g.factors for a in f.scope for b in f.scope if a != b]
+        variable, neighbor = np.divmod(np.unique(np.array(keys, dtype=np.int64)), max(m, 1))
+        assert g.adjacent.dtype == np.int32
+        assert np.array_equal(g.adjacent, neighbor)
+        assert np.array_equal(g.adjacent_start, np.searchsorted(variable, np.arange(m + 1)))
+
+
 def test_evaluation_counter_counts_incident_factors(trap):
     c = make_configuration(trap, [0, 0])
     scratch = _FlipScratch(trap)
