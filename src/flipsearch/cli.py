@@ -25,6 +25,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _size(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a Hamming-distance optimality bound")
     p.add_argument("model")
     p.add_argument("config")
-    p.add_argument("--hamming", type=int, required=True)
+    p.add_argument("--hamming", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("count-subgraphs", help="count connected variable subsets")
     p.add_argument("model")

@@ -34,8 +34,9 @@ class CSTree:
     row lookup. Level n is grown from the complete level n-1 a few thousand
     (row, neighbour) candidates at a time, over the graph's adjacency
     arrays, whenever `next_subset_of_same_size` runs past the rows built so
-    far. A node is created when one of those two methods hands it out; rows
-    built ahead of that are not yet in the tree.
+    far. A node is created when one of those two methods hands it out, or
+    when `create_through` reaches it; rows built ahead of that are not yet
+    in the tree.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -171,6 +172,14 @@ class CSTree:
             return None
         self.node_count = self._first[n]
         return self.node_count
+
+    def create_through(self, p: int) -> None:
+        """Create every built node with an id up to p, for a caller that
+        reads the built rows as a block and examines node p of them."""
+        if p > self.node_count:
+            if p >= self._first[-1] + len(self._rows[-1]):
+                raise ValueError(f"no node {p} has been built")
+            self.node_count = p
 
     def next_subset_of_same_size(self, p: int) -> int | None:
         """The length-lexicographic successor of node `p` on its level.

@@ -49,6 +49,8 @@ class SolveParams:
     record_trace: bool = True
 
     def __post_init__(self):
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+            raise ValueError(f"max_depth must be an int, got {self.max_depth!r}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.time_limit is not None and not (
@@ -134,6 +136,8 @@ class _Run:
         self.subsets_evaluated = 0
         self.depth = 1
         self.t0 = time.perf_counter()
+        limit = params.time_limit
+        self.deadline = math.inf if limit is None else self.t0 + limit
         self.trace: list[TraceRecord] = []
 
     def elapsed(self) -> float:
@@ -158,30 +162,38 @@ class _Run:
 
         `block(s)` gives the ids of the next nodes `step` will visit from s
         on; `CSTree.rows_of` keeps those of s's level, and their subsets are
-        evaluated as one block.
+        evaluated as one block, in one loop. `step` is asked once per block,
+        from its last node, for the node the next block starts at; until
+        then the counters and the created nodes are brought up to date only
+        at a flip and when the time runs out, so that each record and a cut
+        run report the node being examined.
         """
         graph, tree, scratch, config = self.graph, self.tree, self.scratch, self.config
-        limit = self.params.time_limit
-        subsets = []
-        slot = 0
+        bits, delta_of = config.bits, scratch.delta
+        clock, deadline = time.perf_counter, self.deadline
         while s is not None:
-            if slot == len(subsets):
-                rows = tree.rows_of(block(s))
-                scratch.load_block(rows)
-                subsets, slot = rows.tolist(), 0
-            subset = subsets[slot]
-            delta = scratch.delta(graph, config.bits, subset, slot)
-            self.subsets_evaluated += 1
-            if delta < 0.0:
-                flip(config, subset, config.energy + delta)
-                scratch.flipped(graph, subset)
-                self.flips_accepted += 1
-                sink.tag_connected_variables(tree, graph, s)
-                self.record()
-            if limit is not None and self.elapsed() > limit:
-                raise _TimeUp
-            slot += 1
-            s = step(s)
+            ids = block(s)
+            rows = tree.rows_of(ids)
+            scratch.load_block(rows)
+            ids = ids[: len(rows)].tolist()
+            evaluated = self.subsets_evaluated
+            for slot, subset in enumerate(rows.tolist()):
+                delta = delta_of(graph, bits, subset, slot)
+                if delta < 0.0:
+                    self.subsets_evaluated = evaluated + slot + 1
+                    tree.create_through(ids[slot])
+                    flip(config, subset, config.energy + delta)
+                    scratch.flipped(graph, subset)
+                    self.flips_accepted += 1
+                    sink.tag_connected_variables(tree, graph, ids[slot])
+                    self.record()
+                if clock() > deadline:
+                    self.subsets_evaluated = evaluated + slot + 1
+                    tree.create_through(ids[slot])
+                    raise _TimeUp
+            self.subsets_evaluated = evaluated + len(ids)
+            tree.create_through(ids[-1])
+            s = step(ids[-1])
 
 
 def flip_search(

@@ -24,11 +24,9 @@ class TagList:
     def __init__(self, variable_count: int):
         self.flags = np.zeros(variable_count, dtype=bool)
         self.tagged: list[int] = []
-        # the selected node ids, the (tree, node count) they were made for,
-        # and the position of the node `next_tagged_subset` returned last
+        # the selected node ids and the (tree, node count) they were made for
         self._selection = np.zeros(0, dtype=np.int64)
         self._selected_in = None
-        self._at = 0
 
     def tag(self, x: int) -> None:
         if not 0 <= x < self.flags.shape[0]:
@@ -76,9 +74,5 @@ class TagList:
         """Next created node after s, in level order and across levels, whose
         subset holds a tagged variable."""
         selection = self._selected(tree)
-        # a sweep asks for the successor of the node handed out last
-        i = self._at + 1
-        if not (i <= len(selection) and selection.item(i - 1) == s):
-            i = int(np.searchsorted(selection, s, side="right"))
-        self._at = i
+        i = int(np.searchsorted(selection, s, side="right"))
         return selection.item(i) if i < len(selection) else None

@@ -144,6 +144,16 @@ class TestExactAndVerify:
         assert main(["verify", str(trap_file), str(config), "--hamming", "1"]) == 0
         assert main(["verify", str(trap_file), str(config), "--hamming", "2"]) == 1
 
+    def test_negative_hamming_is_usage_error(self, trap_file, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("00\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", str(trap_file), str(config), "--hamming", "-3"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be >= 0, got -3" in captured.err
+        assert "bound holds" not in captured.out
+
 
 class TestCountSubgraphs:
     def test_grid_total(self, grid_file, capsys):

@@ -193,6 +193,9 @@ class TestFlipSearch:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             SolveParams(max_depth=0)
+        for bad in (2.5, 2.0, True, False, "2", None):
+            with pytest.raises(ValueError, match=repr(bad)):
+                SolveParams(max_depth=bad)
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SolveParams(max_depth=1, time_limit=bad)
