@@ -1,23 +1,26 @@
-"""Flip-delta kernels over a FactorGraph's arrays.
+"""Flip-delta kernels over a FactorGraph's arrays and each factor's table
+index.
+
+Both kernels read the current table index of each factor from `index`, an
+int64 array that `_FlipScratch` keeps up to date across flips, instead of
+rebuilding it from the bits of the factor's scope. Flipping a set S
+toggles, in each factor incident to S, the index bits of the scope slots
+that hold a variable of S: the new index is `index[f] ^ mask`, the mask
+being the OR of those slots' weights `1 << (width - 1 - slot)`.
 
 `flip_delta` is plain Python over memoryviews of the arrays, whose items
-are Python ints and floats (`scalar_view`). `bits` must yield Python ints
-(or bools) when indexed, e.g. a list or a memoryview of a uint8 array:
-table indices are built from them with Python int arithmetic, which never
-wraps, so factors of any arity select the right table entry.
-
-`flip_deltas` is the numpy form of `flip_delta` for a block of subsets of
-one size. It adds each subset's table values in the scalar order, so every
-delta it returns is bit for bit the value `flip_delta` returns for the same
-bits.
+are Python ints and floats. `flip_deltas` is its numpy form for a block of
+subsets of one size. It adds each subset's table values in the scalar
+order, so every delta it returns is bit for bit the value `flip_delta`
+returns for the same index.
 """
 
 import numpy as np
 
 __all__ = [
     "USING_NUMBA",
-    "scalar_view",
     "table_index",
+    "incident_weights",
     "flip_delta",
     "flip_deltas",
 ]
@@ -32,51 +35,6 @@ USING_NUMBA = False
 BLOCK_CELLS = 1 << 18
 
 
-def scalar_view(graph):
-    """What `flip_delta` reads of `graph`: the factors' scopes without their
-    padding, end to end, where each starts, and memoryviews of the tables,
-    table starts and incidence."""
-    scopes = graph.scopes.T
-    real = scopes < graph.variable_count
-    scope_start = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))
-    arrays = scopes[real], scope_start, graph.tables, graph.table_start
-    return tuple(map(memoryview, arrays + (graph.incident, graph.incident_start)))
-
-
-def flip_delta(bits, subset, view, in_subset, touched, stamp):
-    """Energy change of toggling `subset`, and the number of table lookups.
-
-    `view` is the model's `scalar_view`. Each factor incident to the subset
-    is evaluated once, before and after the flip. `in_subset` (a bytearray
-    over variables) must arrive all-zero and is restored before returning;
-    `touched` holds a stamp per factor, so passing a fresh `stamp` per call
-    means it never needs clearing.
-    """
-    scope, scope_start, tables, table_start, incident, incident_start = view
-    for v in subset:
-        in_subset[v] = 1
-    delta = 0.0
-    evals = 0
-    for v in subset:
-        for fi in incident[incident_start[v] : incident_start[v + 1]]:
-            if touched[fi] == stamp:
-                continue
-            touched[fi] = stamp
-            idx_cur = 0
-            idx_new = 0
-            for u in scope[scope_start[fi] : scope_start[fi + 1]]:
-                b = bits[u]
-                idx_cur = 2 * idx_cur + b
-                idx_new = 2 * idx_new + (b ^ in_subset[u])
-            t = table_start[fi]
-            delta += tables[t + idx_new]
-            delta -= tables[t + idx_cur]
-            evals += 2
-    for v in subset:
-        in_subset[v] = 0
-    return delta, evals
-
-
 def table_index(bits: np.ndarray) -> np.ndarray:
     """Table entries selected by `bits`, one row of bits per scope slot,
     the last slot being the least significant bit."""
@@ -87,19 +45,54 @@ def table_index(bits: np.ndarray) -> np.ndarray:
     return idx
 
 
-def flip_deltas(bits: np.ndarray, rows: np.ndarray, graph):
+def incident_weights(graph) -> np.ndarray:
+    """For each entry of `graph.incident`, the index bit its variable sets:
+    `1 << (width - 1 - slot)`, slot being the variable's row in the
+    factor's padded scope."""
+    m = graph.variable_count
+    variable = np.repeat(np.arange(m, dtype=np.int32), np.diff(graph.incident_start))
+    slot = np.argmax(graph.scopes.take(graph.incident, axis=1) == variable, axis=0)
+    return np.left_shift(1, len(graph.scopes) - 1 - slot).astype(np.int64)
+
+
+def flip_delta(index, subset, incident, incident_start, weight, table_start, tables):
+    """Energy change of toggling `subset`, and the number of table lookups.
+
+    One walk over the subset's incidence ORs each entry's slot weight into
+    its factor's mask; then each factor, in the order first visited, adds
+    its table entry after the flip and subtracts the one before. Every
+    argument after `subset` is a memoryview of the like-named array
+    (`weight` from `incident_weights`).
+    """
+    mask = {}
+    for v in subset:
+        for i in range(incident_start[v], incident_start[v + 1]):
+            f = incident[i]
+            mask[f] = mask.get(f, 0) | weight[i]
+    delta = 0.0
+    for f, k in mask.items():
+        t = table_start[f]
+        cur = index[f]
+        delta += tables[t + (cur ^ k)]
+        delta -= tables[t + cur]
+    return delta, 2 * len(mask)
+
+
+def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
     """Energy changes of toggling each row of `rows`, and the table lookups
     per row.
 
-    `bits` holds the m variables' bits; `rows` is a (B, n) array of distinct
-    variables per row. Each row's factors are laid out in the order
-    `flip_delta` visits them, row position first, then incidence order. A
-    factor counts only at the first position that holds one of its scope
-    variables and is 0.0 elsewhere; past a row's end everything is 0.0.
-    Adding the terms in that order, with the sequential `np.add.accumulate`,
-    repeats the scalar additions exactly: adding 0.0 leaves a sum that
-    starts at +0.0 unchanged, and subtracting v is adding -v. Blocks with
-    more than BLOCK_CELLS cells are computed in halves.
+    `index` holds each factor's current table index; `rows` is a (B, n)
+    array of distinct variables per row. Each row's factors are laid out in
+    the order `flip_delta` visits them, row position first, then incidence
+    order. A factor counts only at the first position that holds one of its
+    scope variables and is 0.0 elsewhere; past a row's end everything is
+    0.0. Adding the terms in that order, with the sequential
+    `np.add.accumulate`, repeats the scalar additions exactly: adding 0.0
+    leaves a sum that starts at +0.0 unchanged, and subtracting v is adding
+    -v. `terms(shape)`, e.g. `np.zeros`, gives the zeroed float64 matrix
+    the terms are laid in, which is accumulated in place. Blocks with more
+    than BLOCK_CELLS cells are computed in halves.
     """
     count, n = rows.shape
     cells = rows.ravel()
@@ -108,10 +101,9 @@ def flip_deltas(bits: np.ndarray, rows: np.ndarray, graph):
     size = int(degree.sum())
     if count > 1 and size * len(graph.scopes) * n > BLOCK_CELLS:
         half = count // 2
-        head = flip_deltas(bits, rows[:half], graph)
-        tail = flip_deltas(bits, rows[half:], graph)
+        head = flip_deltas(index, rows[:half], graph, terms)
+        tail = flip_deltas(index, rows[half:], graph, terms)
         return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
-    bits = np.append(bits, np.uint8(0))  # the dummy variable's bit
     # entry i is factor f[i], incident to the variable at `position[i]` of
     # row `row[i]`; entries come in the scalar visiting order, row by row
     offset = np.repeat(start - np.cumsum(degree) + degree, degree)
@@ -122,20 +114,22 @@ def flip_deltas(bits: np.ndarray, rows: np.ndarray, graph):
     scope = graph.scopes.take(f, axis=1)
     hit = scope[:, None, :] == np.ascontiguousarray(rows.T).take(row, axis=1)
     earlier = np.arange(n)[:, None] < position
-    keep = ~(hit.any(axis=0) & earlier).any(axis=0)
+    kept = np.flatnonzero(~(hit.any(axis=0) & earlier).any(axis=0))
+    mask = table_index(hit.any(axis=1)).take(kept)
+    f, row = f.take(kept), row.take(kept)
     base = graph.table_start.take(f)
-    b = bits.take(scope)
-    cur = base + table_index(b)
-    new = base + table_index(b ^ hit.any(axis=1))
+    cur = index.take(f)
+    new = base + (cur ^ mask)
+    cur += base
     # terms[r, 1 + 2c] and terms[r, 2 + 2c] hold the table values gained and
     # lost (negated) at row r's c-th entry; an add.accumulate along each row
     # adds them in that order to the +0.0 of terms[r, 0]
     entries = degree.reshape(count, n).sum(axis=1)
     column = np.arange(size) - np.repeat(np.cumsum(entries) - entries, entries)
-    terms = np.zeros((count, 1 + 2 * int(entries.max(initial=0))))
-    at = row * terms.shape[1] + 1 + 2 * column
-    flat = terms.reshape(-1)
-    flat[at] = np.where(keep, graph.tables.take(new), 0.0)
-    flat[at + 1] = np.where(keep, -graph.tables.take(cur), 0.0)
-    delta = np.add.accumulate(terms, axis=1)[:, -1]
-    return delta, 2 * np.bincount(row[keep], minlength=count)
+    work = terms((count, 1 + 2 * int(entries.max(initial=0))))
+    at = row * work.shape[1] + 1 + 2 * column.take(kept)
+    flat = work.reshape(-1)
+    flat[at] = graph.tables.take(new)
+    flat[at + 1] = -graph.tables.take(cur)
+    np.add.accumulate(work, axis=1, out=work)
+    return work[:, -1].copy(), 2 * np.bincount(row, minlength=count)

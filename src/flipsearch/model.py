@@ -261,72 +261,123 @@ def _check_bits(graph: FactorGraph, bits: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
-def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
-    """Total energy: sum of all factor table entries selected by `bits`,
-    added one by one in factor order, starting from +0.0."""
-    bits = np.append(_check_bits(graph, bits), np.uint8(0))  # the dummy's bit
-    index = graph.table_start + kernels.table_index(bits.take(graph.scopes))
-    terms = np.concatenate(([0.0], graph.tables.take(index)))
+def table_indices(graph: FactorGraph, bits: np.ndarray) -> np.ndarray:
+    """Each factor's table index under `bits`, a checked uint8 array."""
+    return kernels.table_index(np.append(bits, np.uint8(0)).take(graph.scopes))
+
+
+def indexed_energy(graph: FactorGraph, index: np.ndarray) -> float:
+    """Sum of the table entries `index` selects, one per factor, added one
+    by one in factor order, starting from +0.0."""
+    terms = np.concatenate(([0.0], graph.tables.take(graph.table_start + index)))
     # add.accumulate adds sequentially, so this is the plain loop's sum
     return float(np.add.accumulate(terms)[-1])
 
 
+def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
+    """Total energy: sum of all factor table entries selected by `bits`,
+    added one by one in factor order, starting from +0.0."""
+    return indexed_energy(graph, table_indices(graph, _check_bits(graph, bits)))
+
+
 class _FlipScratch:
-    """Per-solve scratch state for the flip-delta kernels, and a block cache.
+    """Solve-lifetime state for the flip-delta kernels, and a block cache.
+
+    `index` holds each factor's current table index. `track` sets it from
+    the bits, and from then on only `flipped` changes it, by XOR-ing the
+    slot weights of the flipped set's incidence; so it stays exactly
+    `table_indices` of the bits as long as every flip is reported.
 
     `delta` is the one entry point per evaluated subset. Without a `slot` it
     runs the scalar `kernels.flip_delta`. The solver hands over a block of
     subsets of one size with `load_block`; a `delta` call with the slot of a
     block row returns that row's value from `kernels.flip_deltas`, computed
-    for the whole block at the block's first `delta` call. A cached value is
-    bit for bit the scalar one while no variable in S or next to S has
-    flipped since, S being the subset. `flipped` collects each flipped set T
-    and its neighbours, and S is stale iff it meets them; a stale entry is
+    for the whole block at the block's first `delta` call into one terms
+    matrix that lives as long as the scratch. A cached value is bit for bit
+    the scalar one while no variable in S or next to S has flipped since, S
+    being the subset. `flipped` collects each flipped set T and its
+    neighbours, and S is stale iff it meets them; a stale entry is
     recomputed by the scalar kernel.
     """
 
     def __init__(self, graph: FactorGraph):
-        self.in_subset = bytearray(graph.variable_count)
-        self.touched = [0] * len(graph.table_start)
-        self.stamp = 0
+        self.graph = graph
         self.evaluations = 0
-        self._view = kernels.scalar_view(graph)
+        # the index of the all-zero bits until `track` is called
+        self.index = np.zeros(len(graph.table_start), dtype=np.int64)
+        self._index = memoryview(self.index)
+        views = [
+            memoryview(a)
+            for a in (
+                graph.incident,
+                graph.incident_start,
+                kernels.incident_weights(graph),
+                graph.table_start,
+                graph.tables,
+                graph.adjacent,
+                graph.adjacent_start,
+            )
+        ]
+        # what the scalar kernel reads, and what `flipped` walks
+        self._tables, self._walk = views[:5], views[:3] + views[5:]
+        self._work = np.zeros(0)
         self._rows = None
         # the block's deltas and lookups once computed, and the variables
         # in or next to a flip since then
         self._values = self._lookups = None
         self._dirty: set[int] = set()
 
+    def track(self, index: np.ndarray) -> None:
+        """Take `index`, the `table_indices` of the bits, as the current one."""
+        self.index[:] = index
+        self._values = None
+
     def load_block(self, rows: np.ndarray) -> None:
         """Make `rows`, a (B, n) array of subsets, the block that slots index."""
         self._rows = rows
         self._values = None
 
-    def flipped(self, graph: FactorGraph, subset) -> None:
-        """Record that the variables `subset` have just been toggled."""
-        self._dirty.update(subset)
-        for v in subset:
-            self._dirty.update(neighbors(graph, v))
+    def _terms(self, shape: tuple[int, int]) -> np.ndarray:
+        """A zeroed float64 matrix of `shape` in the kept work buffer, which
+        grows when it is too small."""
+        size = shape[0] * shape[1]
+        if size > len(self._work):
+            self._work = np.zeros(max(size, 2 * len(self._work)))
+        work = self._work[:size].reshape(shape)
+        work.fill(0.0)
+        return work
 
-    def delta(self, graph: FactorGraph, bits: np.ndarray, subset, slot=None) -> float:
-        """Energy change of toggling the variables `subset` in `bits`.
+    def flipped(self, subset) -> set[int]:
+        """Record that the variables `subset` have just been toggled, and
+        return them with their neighbours."""
+        index = self._index
+        incident, incident_start, weight, adjacent, adjacent_start = self._walk
+        near = set(subset)
+        for v in subset:
+            for i in range(incident_start[v], incident_start[v + 1]):
+                index[incident[i]] ^= weight[i]
+            near.update(adjacent[adjacent_start[v] : adjacent_start[v + 1]])
+        self._dirty |= near
+        return near
+
+    def delta(self, subset, slot=None) -> float:
+        """Energy change of toggling the variables `subset`.
 
         `slot`, if given, is the index of `subset` among the rows of the
         loaded block.
         """
         if slot is not None:
             if self._values is None:
-                values, lookups = kernels.flip_deltas(bits, self._rows, graph)
+                values, lookups = kernels.flip_deltas(
+                    self.index, self._rows, self.graph, self._terms
+                )
                 self._values, self._lookups = values.tolist(), lookups.tolist()
                 self._dirty.clear()
             if self._dirty.isdisjoint(subset):
                 self.evaluations += self._lookups[slot]
                 return self._values[slot]
-        self.stamp += 1
-        d, evals = kernels.flip_delta(
-            memoryview(bits), subset, self._view, self.in_subset, self.touched, self.stamp
-        )
-        self.evaluations += evals
+        d, lookups = kernels.flip_delta(self._index, subset, *self._tables)
+        self.evaluations += lookups
         return d
 
 
@@ -346,14 +397,16 @@ def energy_after_flip(
 ) -> float:
     """Energy of `config` with the variables in `subset` toggled.
 
-    Only factors incident to the subset are evaluated (twice each); the
-    configuration itself is not modified.
+    Only factors incident to the subset are looked up (twice each), but the
+    table indices are built from `config.bits` on every call, an O(factors)
+    numpy pass; the configuration itself is not modified.
     """
     bits = _check_bits(graph, config.bits)
     s = _check_subset(graph, subset)
     if scratch is None:
         scratch = _FlipScratch(graph)
-    return config.energy + scratch.delta(graph, bits, s)
+    scratch.track(table_indices(graph, bits))
+    return config.energy + scratch.delta(s)
 
 
 def flip(config: Configuration, subset, new_energy: float) -> Configuration:

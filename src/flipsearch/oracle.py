@@ -149,8 +149,11 @@ def verify_hamming_bound(
     lowers the energy.
 
     Energies of flipped configurations are recomputed from scratch; a
-    relative tolerance absorbs summation-order rounding.
+    relative tolerance absorbs summation-order rounding. `n` must be a
+    non-negative int (not a bool).
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
     m = graph.variable_count
     checks = sum(math.comb(m, k) for k in range(1, min(n, m) + 1))
     if checks > max_checks:

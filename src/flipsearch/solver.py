@@ -28,7 +28,9 @@ from .model import (
     _check_bits,
     energy,
     flip,
+    indexed_energy,
     make_configuration,
+    table_indices,
 )
 from .taglist import TagList
 
@@ -53,11 +55,12 @@ class SolveParams:
             raise ValueError(f"max_depth must be an int, got {self.max_depth!r}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.time_limit is not None and not (
-            math.isfinite(self.time_limit) and self.time_limit > 0
+        if self.time_limit is not None and (
+            isinstance(self.time_limit, bool)
+            or not (math.isfinite(self.time_limit) and self.time_limit > 0)
         ):
             raise ValueError(
-                f"time_limit must be positive and finite, got {self.time_limit}"
+                f"time_limit must be positive and finite, got {self.time_limit!r}"
             )
 
 
@@ -127,7 +130,6 @@ class _Run:
     """Mutable state of one solve."""
 
     def __init__(self, graph: FactorGraph, config: Configuration, params: SolveParams):
-        self.graph = graph
         self.config = config
         self.params = params
         self.tree = CSTree(graph)
@@ -168,8 +170,8 @@ class _Run:
         at a flip and when the time runs out, so that each record and a cut
         run report the node being examined.
         """
-        graph, tree, scratch, config = self.graph, self.tree, self.scratch, self.config
-        bits, delta_of = config.bits, scratch.delta
+        tree, scratch, config = self.tree, self.scratch, self.config
+        delta_of = scratch.delta
         clock, deadline = time.perf_counter, self.deadline
         while s is not None:
             ids = block(s)
@@ -178,14 +180,14 @@ class _Run:
             ids = ids[: len(rows)].tolist()
             evaluated = self.subsets_evaluated
             for slot, subset in enumerate(rows.tolist()):
-                delta = delta_of(graph, bits, subset, slot)
+                delta = delta_of(subset, slot)
                 if delta < 0.0:
                     self.subsets_evaluated = evaluated + slot + 1
                     tree.create_through(ids[slot])
                     flip(config, subset, config.energy + delta)
-                    scratch.flipped(graph, subset)
+                    near = scratch.flipped(subset)
                     self.flips_accepted += 1
-                    sink.tag_connected_variables(tree, graph, ids[slot])
+                    sink.tag_connected_variables(near)
                     self.record()
                 if clock() > deadline:
                     self.subsets_evaluated = evaluated + slot + 1
@@ -207,12 +209,14 @@ def flip_search(
     as completed the last depth it finished, or 0 if it has flipped since.
     """
     config.bits = _check_bits(graph, config.bits)
-    given, e = config.energy, energy(graph, config.bits)
+    index = table_indices(graph, config.bits)
+    given, e = config.energy, indexed_energy(graph, index)
     if not (math.isfinite(given) and abs(given - e) <= ENERGY_REL_TOL * max(1.0, abs(e))):
         raise ModelError(
             f"configuration energy {given!r} is not the energy of its bits, {e!r}"
         )
     run = _Run(graph, config, params)
+    run.scratch.track(index)
     tree = run.tree
     tags_a = TagList(graph.variable_count)
     tags_b = TagList(graph.variable_count)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cstree import CSTree
-from .model import FactorGraph, neighbors
 
 __all__ = ["TagList"]
 
@@ -22,31 +21,35 @@ class TagList:
     """
 
     def __init__(self, variable_count: int):
-        self.flags = np.zeros(variable_count, dtype=bool)
+        self._raw = bytearray(variable_count)
+        # the same bytes as a numpy array, for the level masks; Python code
+        # reads and writes them through `_raw`, which is faster per item
+        self.flags = np.frombuffer(self._raw, dtype=bool)
         self.tagged: list[int] = []
         # the selected node ids and the (tree, node count) they were made for
         self._selection = np.zeros(0, dtype=np.int64)
         self._selected_in = None
 
     def tag(self, x: int) -> None:
-        if not 0 <= x < self.flags.shape[0]:
-            raise IndexError(f"variable {x} out of range")
-        if not self.flags[x]:
-            self.flags[x] = True
-            self.tagged.append(x)
-            self._selected_in = None
+        self.tag_connected_variables((x,))
 
     def untag_all(self) -> None:
         self.flags[self.tagged] = False
         self.tagged.clear()
         self._selected_in = None
 
-    def tag_connected_variables(self, tree: CSTree, graph: FactorGraph, s: int) -> None:
-        """Tag the variables of node s's subset and all their graph neighbors."""
-        for v in tree.sequence_of(s):
-            self.tag(v)
-            for u in neighbors(graph, v):
-                self.tag(u)
+    def tag_connected_variables(self, variables) -> None:
+        """Tag `variables`, distinct variable ids: in a solve, a flipped set
+        and its graph neighbours, as `_FlipScratch.flipped` returns them."""
+        if variables and not (0 <= min(variables) and max(variables) < len(self._raw)):
+            raise IndexError(f"variables {sorted(variables)} out of range")
+        raw = self._raw
+        new = [v for v in variables if not raw[v]]
+        if new:
+            for v in new:
+                raw[v] = 1
+            self.tagged += new
+            self._selected_in = None
 
     def _selected(self, tree: CSTree) -> np.ndarray:
         """Ids of the created nodes whose subset holds a tagged variable."""

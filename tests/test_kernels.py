@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsearch import Factor, build_factor_graph, energy, kernels
-from flipsearch.model import _FlipScratch
+from flipsearch import Factor, SolveParams, build_factor_graph, energy, kernels
+from flipsearch import flip_search, make_configuration, neighbors, solver
+from flipsearch.model import _FlipScratch, table_indices
 
+import scope_walk
 from conftest import build_levels, random_graph
+from scope_walk import scalar_delta
+from test_solver import _Clock
 
 
 def energy_from_scratch(graph, bits):
@@ -29,18 +33,19 @@ def test_total_energy_matches_recompute():
 
 
 def test_flip_delta_matches_recompute_and_restores_scratch():
+    """The scope-walk reference kernel."""
     rng = np.random.default_rng(6)
     for _ in range(30):
         m = int(rng.integers(1, 15))
         g = random_graph(rng, m, max_arity=6)
         bits = rng.integers(0, 2, size=m).tolist()
-        view = kernels.scalar_view(g)
+        view = scope_walk.scalar_view(g)
         in_subset = bytearray(m)
         touched = [0] * len(g.factors)
         for stamp in (1, 2, 3):
             size = int(rng.integers(1, m + 1))
             subset = [int(v) for v in rng.choice(m, size=size, replace=False)]
-            delta, evals = kernels.flip_delta(
+            delta, evals = scope_walk.flip_delta(
                 bits, subset, view, in_subset, touched, stamp
             )
             flipped = [b ^ (v in subset) for v, b in enumerate(bits)]
@@ -52,6 +57,31 @@ def test_flip_delta_matches_recompute_and_restores_scratch():
             assert evals == 2 * len(incident)
             assert in_subset == bytearray(m)  # restored for the next call
             assert {fi for fi, t in enumerate(touched) if t == stamp} == incident
+
+
+def test_index_flip_delta_matches_recompute_and_the_scope_walk():
+    """The package's scalar kernel, reading each factor's index."""
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        m = int(rng.integers(1, 15))
+        g = random_graph(rng, m, max_arity=6)
+        bits = rng.integers(0, 2, size=m).astype(np.uint8)
+        scratch = _FlipScratch(g)
+        scratch.track(table_indices(g, bits))
+        for _ in range(3):
+            size = int(rng.integers(1, m + 1))
+            subset = [int(v) for v in rng.choice(m, size=size, replace=False)]
+            before = scratch.evaluations
+            delta = scratch.delta(subset)
+            evals = scratch.evaluations - before
+            flipped = [b ^ (v in subset) for v, b in enumerate(bits.tolist())]
+            expected = energy_from_scratch(g, flipped) - energy_from_scratch(g, bits)
+            assert delta == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            incident = {
+                fi for fi, f in enumerate(g.factors) if set(f.scope) & set(subset)
+            }
+            assert evals == 2 * len(incident)
+            assert (delta.hex(), evals) == scalar_delta(g, bits, subset)
 
 
 @st.composite
@@ -78,15 +108,6 @@ def weighted_models(draw):
     return build_factor_graph(m, factors), rng
 
 
-def scalar_delta(graph, bits, subset):
-    """`kernels.flip_delta` on a fresh scratch, the delta as its hex string."""
-    d, lookups = kernels.flip_delta(
-        bits.tolist(), subset, kernels.scalar_view(graph),
-        bytearray(graph.variable_count), [0] * len(graph.factors), 1,
-    )
-    return d.hex(), lookups
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     model=weighted_models(),
@@ -98,9 +119,13 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
     the kernel split blocks."""
     graph, rng = model
     bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
-    empty = kernels.flip_deltas(bits, np.zeros((0, 1), dtype=np.int32), graph)
+    index = table_indices(graph, bits)
+    no_rows = np.zeros((0, 1), dtype=np.int32)
+    empty = kernels.flip_deltas(index, no_rows, graph, np.zeros)
     assert [len(x) for x in empty] == [0, 0]
     tree = build_levels(graph, depth)
+    # one scratch's work matrix for every block, whatever its shape
+    terms = _FlipScratch(graph)._terms
     saved = kernels.BLOCK_CELLS
     kernels.BLOCK_CELLS = cells or saved
     try:
@@ -108,7 +133,7 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
             rows = tree.level(n)[1]
             lo = int(rng.integers(0, len(rows)))
             for block in (rows, rows[lo : lo + int(rng.integers(1, 5))]):
-                deltas, lookups = kernels.flip_deltas(bits, block, graph)
+                deltas, lookups = kernels.flip_deltas(index, block, graph, terms)
                 got = [(d.hex(), k) for d, k in zip(deltas.tolist(), lookups.tolist())]
                 assert got == [scalar_delta(graph, bits, row) for row in block.tolist()]
     finally:
@@ -129,13 +154,58 @@ def test_cached_deltas_follow_flips_between_evaluations(model, depth, flip_rate)
     bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
     tree = build_levels(graph, depth)
     scratch = _FlipScratch(graph)
+    scratch.track(table_indices(graph, bits))
     for n in range(1, tree.level_count + 1):
         rows = tree.level(n)[1]
         scratch.load_block(rows)
         for slot, row in enumerate(rows.tolist()):
             before = scratch.evaluations
-            d = scratch.delta(graph, bits, row, slot)
+            d = scratch.delta(row, slot)
             assert (d.hex(), scratch.evaluations - before) == scalar_delta(graph, bits, row)
             if rng.random() < flip_rate:
                 bits[row] ^= 1
-                scratch.flipped(graph, row)
+                near = scratch.flipped(row)
+                assert np.array_equal(scratch.index, table_indices(graph, bits))
+                assert near == set(row).union(*(neighbors(graph, v) for v in row))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=weighted_models(),
+    depth=st.integers(1, 4),
+    ticks=st.sampled_from([None, 3, 17, 60]),
+)
+def test_index_stays_exact_through_solves(model, depth, ticks):
+    """In whole and time-cut solves, the scratch's index equals the one
+    recomputed from the bits after every flip, and every delta and lookup
+    count equals the scope-walk kernel's on the bits of the moment."""
+    graph, rng = model
+    config = make_configuration(graph, rng.integers(0, 2, graph.variable_count))
+    delta, flipped = _FlipScratch.delta, _FlipScratch.flipped
+    calls = []
+
+    def checked_delta(scratch, subset, slot=None):
+        before = scratch.evaluations
+        d = delta(scratch, subset, slot)
+        got = (d.hex(), scratch.evaluations - before)
+        assert got == scalar_delta(graph, config.bits, subset)
+        calls.append(got)
+        return d
+
+    def checked_flipped(scratch, subset):
+        near = flipped(scratch, subset)
+        recomputed = kernels.table_index(np.append(config.bits, 0).take(graph.scopes))
+        assert np.array_equal(scratch.index, recomputed)
+        return near
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_FlipScratch, "delta", checked_delta)
+        mp.setattr(_FlipScratch, "flipped", checked_flipped)
+        if ticks is not None:
+            mp.setattr(solver, "time", _Clock())
+        result = flip_search(
+            graph,
+            config,
+            SolveParams(max_depth=depth, time_limit=ticks and ticks + 0.5),
+        )
+    assert len(calls) == result.subsets_evaluated

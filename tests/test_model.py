@@ -18,6 +18,7 @@ from flipsearch import (
 from flipsearch.model import ModelError, _FlipScratch
 
 from conftest import random_graph
+from scope_walk import scalar_delta
 
 
 def test_single_variable_graph():
@@ -234,6 +235,29 @@ def test_evaluation_counter_counts_incident_factors(trap):
     assert scratch.evaluations == 2 * 2  # unary 0 and the pair factor
     energy_after_flip(trap, c, {0, 1}, scratch)
     assert scratch.evaluations == 4 + 2 * 3  # each incident factor once
+
+
+def test_energy_after_flip_follows_the_bits_with_a_shared_scratch():
+    """One scratch across calls, with other flips made in between that it
+    is not told of: each result is exact for the bits of the moment."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        m = int(rng.integers(1, 12))
+        g = random_graph(rng, m, max_arity=5)
+        c = make_configuration(g, rng.integers(0, 2, m))
+        scratch = _FlipScratch(g)
+        for _ in range(10):
+            subset = sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+            got = energy_after_flip(g, c, subset, scratch)
+            delta = float.fromhex(scalar_delta(g, c.bits, subset)[0])
+            assert got.hex() == (c.energy + delta).hex()
+            flipped = c.bits.copy()
+            flipped[subset] ^= 1
+            assert got == pytest.approx(energy(g, flipped), rel=1e-9, abs=1e-12)
+            moved = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+            flipped = c.bits.copy()
+            flipped[moved] ^= 1
+            flip(c, moved.tolist(), energy(g, flipped))
 
 
 @settings(max_examples=60, deadline=None)

@@ -113,6 +113,16 @@ class TestHammingBound:
             config, _ = brute_force_minimize(g)
             assert verify_hamming_bound(g, config, g.variable_count)
 
+    @pytest.mark.parametrize("n", [-3, -1, True, False, 2.5, 1.0, "1", None])
+    def test_radius_must_be_a_non_negative_int(self, n):
+        """Flipping variable 0 lowers the energy, so a radius taken as 0 or
+        less would certify it vacuously."""
+        g = build_factor_graph(1, [Factor((0,), (1.0, 0.0))])
+        c = make_configuration(g, [0])
+        assert not verify_hamming_bound(g, c, 1)
+        with pytest.raises(ValueError, match="non-negative int"):
+            verify_hamming_bound(g, c, n)
+
     def test_budget(self, grid):
         c = make_configuration(grid, [0] * 6)
         with pytest.raises(ValueError):

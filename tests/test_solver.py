@@ -199,6 +199,10 @@ class TestFlipSearch:
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SolveParams(max_depth=1, time_limit=bad)
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=repr(bad)):
+                SolveParams(max_depth=1, time_limit=bad)
+        assert SolveParams(max_depth=1, time_limit=1).time_limit == 1
 
 
 class TestIcm:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flipsearch import TagList
 from flipsearch.cstree import enumerate_connected_subsets
+from flipsearch.model import _FlipScratch
 
 from conftest import build_levels, higher_order_models, node_for, random_graph
 
@@ -67,33 +68,37 @@ class TestTagUntag:
             tags.tag(-1)
 
 
+def flipped(graph, subset):
+    """The flipped set and its neighbours, as the solver's scratch returns
+    them after a flip."""
+    return _FlipScratch(graph).flipped(subset)
+
+
 class TestTagConnectedVariables:
     def test_singleton(self, grid):
-        tree = build_levels(grid, 1)
         tags = TagList(6)
-        tags.tag_connected_variables(tree, grid, node_for(tree, (0,)))
+        tags.tag_connected_variables(flipped(grid, (0,)))
         assert sorted(tags.tagged) == [0, 1, 3]
 
     def test_pair(self, grid):
-        tree = build_levels(grid, 2)
         tags = TagList(6)
-        tags.tag_connected_variables(tree, grid, node_for(tree, (0, 1)))
+        tags.tag_connected_variables(flipped(grid, (0, 1)))
         assert sorted(tags.tagged) == [0, 1, 2, 3, 4]
 
     def test_isolated_variable(self):
         from flipsearch import Factor, build_factor_graph
 
         g = build_factor_graph(2, [Factor((0,), (0.1, 0.9))])
-        tree = build_levels(g, 1)
         tags = TagList(2)
-        tags.tag_connected_variables(tree, g, node_for(tree, (1,)))
+        tags.tag_connected_variables(flipped(g, (1,)))
         assert tags.tagged == [1]
 
-    def test_root_rejected(self, grid):
-        tree = build_levels(grid, 1)
+    def test_out_of_range_rejected(self, grid):
         tags = TagList(6)
-        with pytest.raises(ValueError):
-            tags.tag_connected_variables(tree, grid, 0)
+        for bad in ({6}, {-1, 0}):
+            with pytest.raises(IndexError):
+                tags.tag_connected_variables(bad)
+        assert tags.tagged == []
 
 
 class TestTaggedTraversal:
