@@ -8,6 +8,7 @@ the elapsed_seconds field of trace files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fileformat, generators, oracle
@@ -32,6 +33,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _size(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -52,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--max-depth", type=_positive_int, required=True)
     p.add_argument("--init", default="unary", help="unary | zeros | file:<path>")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
+    p.add_argument(
+        "--time-limit", type=_positive_seconds, default=None, metavar="SECONDS"
+    )
     p.add_argument("--trace", default=None, metavar="OUT_JSON")
     p.add_argument("--out", default=None, metavar="CONFIG_TXT")
 

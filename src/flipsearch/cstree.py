@@ -28,27 +28,33 @@ GROWTH_CANDIDATES = 4096
 class CSTree:
     """Growable tree of canonical sequences, stored level by level.
 
-    Level n is an `(N_n, n)` int32 array of its nodes' canonical sequences
-    in length-lexicographic order. Node ids run consecutively level by level
-    with the root as 0, so level order is id order and `sequence_of` is a
-    row lookup. Level n is grown from the complete level n-1 a few thousand
-    (row, neighbour) candidates at a time, over the graph's adjacency
-    arrays, whenever `next_subset_of_same_size` runs past the rows built so
-    far. A node is created when one of those two methods hands it out, or
-    when `create_through` reaches it; rows built ahead of that are not yet
-    in the tree.
+    Level n holds, for each of its nodes in length-lexicographic order, the
+    row of its parent on level n-1 and its label, the variable it appends to
+    its parent's sequence: a `(2, N_n)` int32 array, 8 bytes per node. Node
+    ids run consecutively level by level with the root as 0, so level order
+    is id order. A node's canonical sequence is rebuilt by n gathers up the
+    parent chain, for a whole block of rows at once. Level n is grown from
+    the complete level n-1 a few thousand (row, neighbour) candidates at a
+    time, over the graph's adjacency arrays, whenever
+    `next_subset_of_same_size` runs past the rows built so far; once level
+    n+1 is started, level n is cut to its exact size. A node is created
+    when one of those two methods hands it out, or when `create_through`
+    reaches it; rows built ahead of that are not yet in the tree.
     """
 
     def __init__(self, graph: FactorGraph):
         self.graph = graph
-        # per level, the root being level 0: id of its first node and its rows
+        # per level, the root being level 0: id of its first node and the
+        # (parent row, label) pairs of its built nodes
         self._first = [0]
-        self._rows = [np.zeros((1, 0), dtype=np.int32)]
-        # the top level's rows are a view into this array, whose capacity
+        self._links = [np.zeros((2, 1), dtype=np.int32)]
+        # the top level's links are a view into this array, whose capacity
         # doubles as the level grows
-        self._buffer = np.zeros((1, 0), dtype=np.int32)
-        # rows of level n-1 that the top level n has been grown from
+        self._buffer = self._links[0]
+        # rows of level n-1 that the top level n has been grown from, and
+        # how many parent rows the next growth step rebuilds first
         self._grown_from = 1
+        self._window = 1
         # non-root nodes handed out so far: ids 1..node_count make up the tree
         self.node_count = 0
         # highest level known to be fully built (root level always is)
@@ -59,12 +65,33 @@ class CSTree:
         """Number of non-empty levels started so far."""
         return len(self._first) - 1
 
-    def level(self, n: int) -> tuple[int, np.ndarray]:
-        """The id of level n's first node and the rows of its created nodes."""
+    def _built(self, n: int) -> int:
+        return self._links[n].shape[1]
+
+    def links(self, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The id of level n's first node, and the parent rows on level n-1
+        and the labels of its created nodes."""
         if not 1 <= n <= self.level_count:
             raise ValueError(f"level {n} has not been started")
         first = self._first[n]
-        return first, self._rows[n][: self.node_count - first + 1]
+        parent, label = self._links[n][:, : self.node_count - first + 1]
+        return first, parent, label
+
+    def level(self, n: int) -> tuple[int, np.ndarray]:
+        """The id of level n's first node and the rows of its created nodes."""
+        first, _, label = self.links(n)
+        return first, self._sequences(n, np.arange(len(label)))
+
+    def _sequences(self, n: int, rows: np.ndarray) -> np.ndarray:
+        """The canonical sequences of the level-n rows `rows`, as a
+        `(len(rows), n)` int32 array: labels read up the parent chain."""
+        out = np.empty((len(rows), n), dtype=np.int32)
+        for k in range(n, 0, -1):
+            parent, label = self._links[k]
+            out[:, k - 1] = label.take(rows)
+            if k > 1:
+                rows = parent.take(rows)
+        return out
 
     def _level_of(self, p: int) -> int:
         if not 0 < p <= self.node_count:
@@ -74,22 +101,23 @@ class CSTree:
     def sequence_of(self, p: int) -> tuple[int, ...]:
         """The canonical sequence of node p: its labels read from the root."""
         n = self._level_of(p)
-        return tuple(self._rows[n][p - self._first[n]].tolist())
+        return tuple(self._sequences(n, [p - self._first[n]])[0].tolist())
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """The canonical sequences of the ascending node ids `ids`, up to the
         first id past the rows built on the level of ids[0]. Rows built ahead
         of the nodes handed out are included; reading them creates no node."""
         n = self._level_of(int(ids[0]))
-        first, rows = self._first[n], self._rows[n]
-        return rows[ids[ids < first + len(rows)] - first]
+        first = self._first[n]
+        return self._sequences(n, ids[ids < first + self._built(n)] - first)
 
     def subset_of(self, p: int) -> frozenset[int]:
         return frozenset(self.sequence_of(p))
 
-    def _children(self, rows: np.ndarray) -> np.ndarray:
+    def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The canonical one-variable extensions of the sequences `rows`,
-        sorted by (row, appended variable)."""
+        sorted by (row, appended variable): the index in `rows` of each
+        one's parent, and the variable it appends."""
         k, n = rows.shape
         adjacent, adjacent_start = self.graph.adjacent, self.graph.adjacent_start
         start = adjacent_start[rows.ravel()]
@@ -116,32 +144,47 @@ class CSTree:
         # first position
         after = np.arange(n) > (cell[first] % n)[:, None]
         keep = ~((seq == v[:, None]) | ((seq > v[:, None]) & after)).any(axis=1)
-        return np.column_stack((seq[keep], v[keep]))
+        return row[keep], v[keep]
 
     def _grow(self, n: int) -> bool:
         """Build more rows of the top level n; False once level n-1 is used up."""
-        parents = self._rows[n - 1]
+        size = self._built(n - 1)
         adjacent_start = self.graph.adjacent_start
-        while self._grown_from < len(parents):
+        while self._grown_from < size:
             lo = self._grown_from
-            window = parents[lo : lo + GROWTH_CANDIDATES]
-            degree = adjacent_start[window + 1] - adjacent_start[window]
-            work = np.cumsum(degree.sum(axis=1))
-            self._grown_from += max(1, int(np.searchsorted(work, GROWTH_CANDIDATES)))
-            rows = self._children(parents[lo : self._grown_from])
-            if len(rows):
-                self._append(n, rows)
+            # a step takes the parent rows from lo on until their candidate
+            # pairs reach GROWTH_CANDIDATES, looking at most that many rows
+            # ahead; the rows are rebuilt in a window twice as long as the
+            # last step took, doubled until it holds the step
+            span = min(GROWTH_CANDIDATES, size - lo)
+            window = min(span, self._window)
+            while True:
+                rows = self._sequences(n - 1, np.arange(lo, lo + window))
+                degree = adjacent_start[rows + 1] - adjacent_start[rows]
+                work = np.cumsum(degree.sum(axis=1))
+                if work[-1] >= GROWTH_CANDIDATES or window == span:
+                    break
+                window = min(span, 2 * window)
+            take = max(1, int(np.searchsorted(work, GROWTH_CANDIDATES)))
+            self._window = 2 * take
+            self._grown_from += take
+            row, label = self._children(rows[:take])
+            if len(label):
+                self._append(n, lo + row, label)
                 return True
         return False
 
-    def _append(self, n: int, rows: np.ndarray) -> None:
-        built = len(self._rows[n])
-        need = built + len(rows)
-        if need > len(self._buffer):
-            # np.resize keeps the rows built so far in place
-            self._buffer = np.resize(self._buffer, (2 * need, n))
-        self._buffer[built:need] = rows
-        self._rows[n] = self._buffer[:need]
+    def _append(self, n: int, parent: np.ndarray, label: np.ndarray) -> None:
+        built = self._built(n)
+        need = built + len(label)
+        if need > self._buffer.shape[1]:
+            # the slack is never written, so it takes no memory until rows
+            # are appended there
+            buffer = np.empty((2, 2 * need), dtype=np.int32)
+            buffer[:, :built] = self._links[n]
+            self._buffer = buffer
+        self._buffer[:, built:need] = parent, label
+        self._links[n] = self._buffer[:, :need]
 
     def first_subset_of_size(self, n: int) -> int | None:
         """Create and return the first level-n node, or None if level n is empty.
@@ -158,16 +201,19 @@ class CSTree:
             # previous level is empty, so this one is too
             self.complete_level = max(self.complete_level, n)
             return None
-        self._first.append(self._first[-1] + len(self._rows[-1]))
-        self._buffer = np.zeros((0, n), dtype=np.int32)
-        self._rows.append(self._buffer)
+        # level n-1 is complete: cut it to its exact size
+        self._links[-1] = self._links[-1].copy()
+        self._first.append(self._first[-1] + self._built(n - 1))
+        self._buffer = np.zeros((2, 0), dtype=np.int32)
+        self._links.append(self._buffer)
         self._grown_from = 0
         if n == 1:
             # the root's children are all the variables
-            self._append(1, np.arange(self.graph.variable_count)[:, None])
+            m = self.graph.variable_count
+            self._append(1, np.zeros(m, dtype=np.int32), np.arange(m))
             self._grown_from = 1
-        if not len(self._rows[n]) and not self._grow(n):
-            del self._first[n], self._rows[n]
+        if not self._built(n) and not self._grow(n):
+            del self._first[n], self._links[n]
             self.complete_level = max(self.complete_level, n)
             return None
         self.node_count = self._first[n]
@@ -177,7 +223,7 @@ class CSTree:
         """Create every built node with an id up to p, for a caller that
         reads the built rows as a block and examines node p of them."""
         if p > self.node_count:
-            if p >= self._first[-1] + len(self._rows[-1]):
+            if p >= self._first[-1] + self._built(-1):
                 raise ValueError(f"no node {p} has been built")
             self.node_count = p
 
@@ -189,7 +235,7 @@ class CSTree:
         """
         n = self._level_of(p)
         q = p + 1
-        if q - self._first[n] == len(self._rows[n]) and (
+        if q - self._first[n] == self._built(n) and (
             n < self.level_count or not self._grow(n)
         ):
             self.complete_level = max(self.complete_level, n)

@@ -112,6 +112,14 @@ class FactorGraph:
             for k in np.count_nonzero(real, axis=1).tolist()
         )
 
+    @cached_property
+    def incident_weights(self) -> np.ndarray:
+        """`kernels.incident_weights` of the graph, built on first use and
+        kept, read-only, for every scratch and flip of the graph."""
+        weights = kernels.incident_weights(self)
+        weights.flags.writeable = False
+        return weights
+
     def __eq__(self, other):
         if not isinstance(other, FactorGraph):
             return NotImplemented
@@ -311,7 +319,7 @@ class _FlipScratch:
             for a in (
                 graph.incident,
                 graph.incident_start,
-                kernels.incident_weights(graph),
+                graph.incident_weights,
                 graph.table_start,
                 graph.tables,
                 graph.adjacent,

@@ -106,8 +106,9 @@ def csr_extendable(graph: FactorGraph, path, v: int) -> bool:
     Yes iff (i) v is not in path, (ii) v is adjacent to some path element,
     (iii) v exceeds the first element, and (iv) if i >= 1 is the first
     position with v adjacent to path[i-1], every element from path[i] on is
-    smaller than v. `CSTree._children` applies this rule to whole levels at
-    once; this is its scalar statement, which the tests hold it to.
+    smaller than v. `CSTree._children` applies this rule at once to every
+    parent row of a growth step; this is its scalar statement, which the
+    tests hold it to.
     """
     if v <= path[0] or v in path:
         return False

@@ -16,8 +16,11 @@ class TagList:
     The traversal methods drive the revisiting sweeps over the created part
     of the CS-tree and never grow it: a sweep visits, in level order, every
     node whose subset holds a tagged variable. The nodes are selected one
-    level at a time as `flags[rows].any(axis=1)`, into one ascending int64
-    array of node ids that is kept until a tag changes or the tree grows.
+    level at a time from the CS-tree's parent rows and labels, by the
+    recurrence `mask_n = mask_{n-1}[parent_n] | flags[label_n]` over the
+    created nodes (`mask_0` is False, for the root), into one ascending
+    int64 array of node ids that is kept until a tag changes or the tree
+    grows.
     """
 
     def __init__(self, variable_count: int):
@@ -56,9 +59,13 @@ class TagList:
         if self._selected_in != (tree, tree.node_count):
             self._selected_in = (tree, tree.node_count)
             hits = [np.zeros(0, dtype=np.int64)]
+            # a node's subset holds a tagged variable iff its parent's does
+            # or its label is tagged; the root's holds none
+            mask = np.zeros(1, dtype=bool)
             for n in range(1, tree.level_count + 1) if self.tagged else ():
-                first, rows = tree.level(n)
-                hits.append(first + np.flatnonzero(self.flags[rows].any(axis=1)))
+                first, parent, label = tree.links(n)
+                mask = mask.take(parent) | self.flags.take(label)
+                hits.append(first + np.flatnonzero(mask))
             self._selection = np.concatenate(hits)
         return self._selection
 

@@ -41,6 +41,15 @@ class TestSolve:
             main(["solve", str(trap_file), "--max-depth", "0"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("seconds", ["-1", "0", "inf", "nan", "soon"])
+    def test_time_limit_must_be_positive_and_finite(self, tmp_path, capsys, seconds):
+        # the model file does not exist: the limit is refused before any read
+        args = ["solve", str(tmp_path / "nope.bfg"), "--max-depth", "1"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(args + ["--time-limit", seconds])
+        assert exc_info.value.code == 2
+        assert "--time-limit" in capsys.readouterr().err
+
     def test_decoupled_ising_trace_has_no_flips(self, tmp_path, capsys):
         model = tmp_path / "ising.bfg"
         main(

@@ -12,8 +12,11 @@ from flipsearch import (
     energy_after_flip,
     flip,
     flip_search,
+    kernels,
     make_configuration,
     neighbors,
+    parse_model,
+    write_model,
 )
 from flipsearch.model import ModelError, _FlipScratch
 
@@ -258,6 +261,24 @@ def test_energy_after_flip_follows_the_bits_with_a_shared_scratch():
             flipped = c.bits.copy()
             flipped[moved] ^= 1
             flip(c, moved.tolist(), energy(g, flipped))
+
+
+def test_incident_weights_are_built_once_per_graph(monkeypatch, tmp_path):
+    calls = []
+    build = kernels.incident_weights
+    monkeypatch.setattr(kernels, "incident_weights", lambda g: calls.append(g) or build(g))
+    g = random_graph(np.random.default_rng(5), 8)
+    write_model(g, tmp_path / "g.bfg")
+    assert "incident_weights" not in vars(parse_model(tmp_path / "g.bfg"))
+    assert "incident_weights" not in vars(g)
+    a, b = _FlipScratch(g), _FlipScratch(g)
+    assert a._walk[2].obj is b._walk[2].obj is g.incident_weights
+    c = make_configuration(g, np.zeros(8, dtype=np.uint8))
+    for v in range(8):
+        energy_after_flip(g, c, {v})
+    assert calls == [g]
+    assert not g.incident_weights.flags.writeable
+    assert np.array_equal(g.incident_weights, build(g))
 
 
 @settings(max_examples=60, deadline=None)
