@@ -40,6 +40,18 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _init(text: str) -> tuple[str, str | None]:
+    """The `initial_configuration` policy that `--init` names, and the path
+    of the bits file for `file:<path>`."""
+    if text == "unary":
+        return "unary_min", None
+    if text == "zeros":
+        return "all_zero", None
+    if text.startswith("file:") and len(text) > 5:
+        return "given", text[5:]
+    raise argparse.ArgumentTypeError(f"expected unary, zeros or file:<path>, got {text!r}")
+
+
 def _size(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -59,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the flip search on a model file")
     p.add_argument("model")
     p.add_argument("--max-depth", type=_positive_int, required=True)
-    p.add_argument("--init", default="unary", help="unary | zeros | file:<path>")
+    p.add_argument("--init", type=_init, default="unary", help="unary | zeros | file:<path>")
     p.add_argument(
         "--time-limit", type=_positive_seconds, default=None, metavar="SECONDS"
     )
@@ -102,16 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     graph = fileformat.parse_model(args.model)
-    if args.init == "unary":
-        config = initial_configuration(graph, "unary_min")
-    elif args.init == "zeros":
-        config = initial_configuration(graph, "all_zero")
-    elif args.init.startswith("file:"):
-        bits = fileformat.parse_configuration(args.init[5:], graph.variable_count)
-        config = initial_configuration(graph, "given", given=bits)
-    else:
-        print(f"error: unknown init {args.init!r}", file=sys.stderr)
-        return 2
+    policy, path = args.init
+    given = None if path is None else fileformat.parse_configuration(path, graph.variable_count)
+    config = initial_configuration(graph, policy, given=given)
     params = SolveParams(max_depth=args.max_depth, time_limit=args.time_limit)
     result = flip_search(graph, config, params)
     if args.out is not None:

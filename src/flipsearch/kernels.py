@@ -48,11 +48,16 @@ def table_index(bits: np.ndarray) -> np.ndarray:
 def incident_weights(graph) -> np.ndarray:
     """For each entry of `graph.incident`, the index bit its variable sets:
     `1 << (width - 1 - slot)`, slot being the variable's row in the
-    factor's padded scope."""
-    m = graph.variable_count
-    variable = np.repeat(np.arange(m, dtype=np.int32), np.diff(graph.incident_start))
-    slot = np.argmax(graph.scopes.take(graph.incident, axis=1) == variable, axis=0)
-    return np.left_shift(1, len(graph.scopes) - 1 - slot).astype(np.int64)
+    factor's padded scope. The weights are int32, or int64 when the scopes
+    are wider than 31 slots, and are found one slot at a time."""
+    width = len(graph.scopes)
+    variable = np.repeat(
+        np.arange(graph.variable_count, dtype=np.int32), np.diff(graph.incident_start)
+    )
+    weights = np.zeros(len(variable), dtype=np.int32 if width <= 31 else np.int64)
+    for slot, row in enumerate(graph.scopes):
+        np.copyto(weights, 1 << (width - 1 - slot), where=row.take(graph.incident) == variable)
+    return weights
 
 
 def flip_delta(index, subset, incident, incident_start, weight, table_start, tables):

@@ -9,6 +9,7 @@ are adjacent iff they co-occur in some factor scope; this adjacency is what
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
@@ -36,6 +37,17 @@ MAX_VARIABLES = int(np.iinfo(np.int32).max)
 # Two energies of the same bits, summed in different orders, agree when
 # they differ by at most ENERGY_REL_TOL * max(1, |E|).
 ENERGY_REL_TOL = 1e-9
+
+
+def integer(value) -> int | None:
+    """`value` as an int if it is an integer other than a bool, numpy's
+    integers included, by `operator.index`; None otherwise."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 class ModelError(ValueError):
@@ -191,68 +203,116 @@ def graph_from_arrays(
     """The FactorGraph of factors with the int64 `arity` and table `sizes`,
     their scopes and their tables laid end to end in `flat` and `values`.
 
-    Every factor is checked at once; the error raised is the one
-    `check_factor` raises for the first factor at fault.
+    The graph keeps `values`, as float64, for its `tables` without a copy,
+    so it must not be changed afterwards. Every factor is checked at once;
+    the error raised is the one `check_factor` raises for the first factor
+    at fault.
     """
     count = len(arity)
-    owner = np.repeat(np.arange(count, dtype=np.int32), arity)
-    # each arity's scopes, one row per factor; the arities come from a
-    # bincount, as np.unique imports numpy.ma on first use, and objects made
-    # then can pin memory a parse has just freed
-    groups = {
-        k: flat[np.repeat(arity == k, arity)].reshape(-1, k)
-        for k in np.flatnonzero(np.bincount(arity[arity > 1])).tolist()
-    }
+    table_start = np.cumsum(sizes)
+    table_start -= sizes
     # a table of 2^62 or more entries cannot exist
     faulty = (arity < 1) | (sizes != np.left_shift(1, np.minimum(arity, 62)))
-    for k, group in groups.items():
-        ordered = np.sort(group, axis=1)
-        faulty[arity == k] |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    faulty[owner[(flat < 0) | (flat >= m)]] = True
-    table_end = np.cumsum(sizes)
-    faulty[np.searchsorted(table_end, np.flatnonzero(~np.isfinite(values)), "right")] = True
+    outside = (flat < 0) | (flat >= m)
+    if outside.any():
+        faulty[np.repeat(np.arange(count), arity)[outside]] = True
+    del outside
+    infinite = ~np.isfinite(values)
+    if infinite.any():
+        faulty[np.searchsorted(table_start, np.flatnonzero(infinite), "right") - 1] = True
+    del infinite
+    # the scopes of the factors before the first fault found so far, which
+    # are in range, so only those factors can hold a duplicate variable
+    valid = int(np.argmax(faulty)) if faulty.any() else count
+    scopes = _padded_scopes(m, arity[:valid], flat[: int(arity[:valid].sum())])
+    faulty[:valid] |= _repeats(scopes, m)
     if faulty.any():
         fi = int(np.argmax(faulty))
         start = int(arity[:fi].sum())
         scope = flat[start : start + arity[fi]].tolist()
-        table = values[table_end[fi] - sizes[fi] : table_end[fi]].tolist()
+        table = values[table_start[fi] : table_start[fi] + sizes[fi]].tolist()
         check_factor(fi, scope, table, m)
-
-    width = int(arity.max(initial=1))
-    scopes = np.full((width, count), m, dtype=np.int32)
-    # boolean assignment through the transpose fills factor by factor, each
-    # factor's rightmost `arity` slots left to right
-    scopes.T[np.arange(width) >= width - arity[:, None]] = flat
-    # adjacency from every ordered pair of scope slots of each arity's
-    # factors; temporaries are dropped as soon as they are used, as this
-    # step sets the peak memory of a parse
-    keys = [np.zeros(0, dtype=np.int64)]
-    for k, group in groups.items():
-        first_slot, second_slot = np.nonzero(~np.eye(k, dtype=bool))
-        keys.append((group[:, first_slot] * m + group[:, second_slot]).ravel())
-    del groups
-    keys = np.sort(np.concatenate(keys))
-    variable, neighbor = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(m, 1))
-    del keys
-    adjacent = neighbor.astype(np.int32)
-    adjacent_start = np.searchsorted(variable, np.arange(m + 1))
-    del variable, neighbor
+    del faulty
     # a stable sort of the scope entries by variable lists each variable's
     # factors in factor order
     order = np.argsort(flat, kind="stable")
-    incident = owner[order]
-    incident_start = np.searchsorted(flat[order], np.arange(m + 1))
-    del order, owner
+    incident = np.repeat(np.arange(count, dtype=np.int32), arity).take(order)
+    del order
+    incident_start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=m), out=incident_start[1:])
+    adjacent, adjacent_start = _adjacency(m, scopes, int(np.dot(arity, arity - 1)))
     return FactorGraph(
         variable_count=m,
         scopes=scopes,
-        tables=np.array(values, dtype=np.float64),
-        table_start=table_end - sizes,
+        # a view, so that the graph making its tables read-only leaves the
+        # caller's array as it was
+        tables=np.ascontiguousarray(values, dtype=np.float64).view(),
+        table_start=table_start,
         incident=incident,
         incident_start=incident_start,
         adjacent=adjacent,
         adjacent_start=adjacent_start,
     )
+
+
+def _padded_scopes(m: int, arity: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The (max arity or 1, factors) int32 array of the scopes in `flat`,
+    each left-padded with m."""
+    width = int(arity.max(initial=1))
+    scopes = np.full((width, len(arity)), m, dtype=np.int32)
+    # boolean assignment through the transpose fills factor by factor, each
+    # factor's rightmost `arity` slots left to right
+    scopes.T[np.arange(width) >= width - arity[:, None]] = flat
+    return scopes
+
+
+def _repeats(scopes: np.ndarray, m: int) -> np.ndarray:
+    """For each factor, whether a variable below m fills two of its slots."""
+    repeated = np.zeros(scopes.shape[1], dtype=bool)
+    for a in range(len(scopes) - 1):
+        real = scopes[a] < m
+        for b in range(a + 1, len(scopes)):
+            repeated |= real & (scopes[a] == scopes[b])
+    return repeated
+
+
+def _pair_keys(m: int, scopes: np.ndarray, pairs: int) -> np.ndarray:
+    """The key v * m + w of each ordered pair (v, w) of one factor's
+    variables, over the valid padded `scopes`, which hold `pairs` such
+    pairs in all, in one int64 array."""
+    keys = np.empty(pairs, dtype=np.int64)
+    at = 0
+    # with the scopes left-padded, slot a of a factor is real iff every
+    # later slot is
+    for a in range(len(scopes) - 1):
+        real = scopes[a] < m
+        first = scopes[a][real]
+        for b in range(a + 1, len(scopes)):
+            second = scopes[b][real]
+            for v, w in (first, second), (second, first):
+                out = keys[at : at + len(v)]
+                np.multiply(v, m, out=out, dtype=np.int64)
+                out += w
+                at += len(v)
+    return keys
+
+
+def _adjacency(m: int, scopes: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """`adjacent` and `adjacent_start` of the valid padded `scopes`, which
+    hold `pairs` ordered pairs of distinct scope slots in all: the pair
+    keys, sorted in place, list each variable's neighbours in order once
+    repeats are dropped."""
+    keys = _pair_keys(m, scopes, pairs)
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    if not distinct.all():
+        keys = keys[distinct]
+    del distinct
+    adjacent = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, max(m, 1), out=adjacent, casting="unsafe")
+    np.floor_divide(keys, max(m, 1), out=keys)
+    return adjacent, np.searchsorted(keys, np.arange(m + 1))
 
 
 def _check_bits(graph: FactorGraph, bits: Sequence[int]) -> np.ndarray:
@@ -277,9 +337,12 @@ def table_indices(graph: FactorGraph, bits: np.ndarray) -> np.ndarray:
 def indexed_energy(graph: FactorGraph, index: np.ndarray) -> float:
     """Sum of the table entries `index` selects, one per factor, added one
     by one in factor order, starting from +0.0."""
-    terms = np.concatenate(([0.0], graph.tables.take(graph.table_start + index)))
+    terms = np.zeros(len(index) + 1)
+    # with mode "clip" take writes to `out` directly; "raise" would buffer
+    graph.tables.take(graph.table_start + index, out=terms[1:], mode="clip")
     # add.accumulate adds sequentially, so this is the plain loop's sum
-    return float(np.add.accumulate(terms)[-1])
+    np.add.accumulate(terms, out=terms)
+    return float(terms[-1])
 
 
 def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
@@ -389,8 +452,16 @@ class _FlipScratch:
         return d
 
 
+def _variable_id(v) -> int:
+    """`v` as a variable id, or a ModelError if it is not an integer."""
+    i = integer(v)
+    if i is None:
+        raise ModelError(f"variable id must be an int, got {v!r}")
+    return i
+
+
 def _check_subset(graph: FactorGraph, subset) -> list[int]:
-    s = sorted(int(v) for v in subset)
+    s = sorted(map(_variable_id, subset))
     if not s:
         raise ModelError("flip set must be non-empty")
     if len(set(s)) != len(s):
@@ -427,6 +498,7 @@ def flip(config: Configuration, subset, new_energy: float) -> Configuration:
 
 def neighbors(graph: FactorGraph, j: int) -> tuple[int, ...]:
     """Sorted distinct variables sharing at least one factor with `j`."""
+    j = _variable_id(j)
     if not 0 <= j < graph.variable_count:
         raise ModelError(f"variable {j} out of range")
     start = graph.adjacent_start

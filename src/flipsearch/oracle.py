@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ENERGY_REL_TOL, Configuration, FactorGraph, energy, neighbors
+from .model import ENERGY_REL_TOL, Configuration, FactorGraph, energy, integer, neighbors
 
 __all__ = [
     "EnumerationReport",
@@ -151,18 +151,19 @@ def verify_hamming_bound(
 
     Energies of flipped configurations are recomputed from scratch; a
     relative tolerance absorbs summation-order rounding. `n` must be a
-    non-negative int (not a bool).
+    non-negative integer, numpy's included, and not a bool.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    radius = integer(n)
+    if radius is None or radius < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
     m = graph.variable_count
-    checks = sum(math.comb(m, k) for k in range(1, min(n, m) + 1))
+    checks = sum(math.comb(m, k) for k in range(1, min(radius, m) + 1))
     if checks > max_checks:
         raise ValueError(f"{checks} flip checks exceed the budget {max_checks}")
     base = energy(graph, config.bits)
     threshold = base - rel_tol * max(1.0, abs(base))
     bits = config.bits.copy()
-    for k in range(1, min(n, m) + 1):
+    for k in range(1, min(radius, m) + 1):
         for combo in itertools.combinations(range(m), k):
             for v in combo:
                 bits[v] ^= 1

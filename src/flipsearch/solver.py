@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .model import (
     energy,
     flip,
     indexed_energy,
+    integer,
     make_configuration,
     table_indices,
 )
@@ -51,8 +53,10 @@ class SolveParams:
     record_trace: bool = True
 
     def __post_init__(self):
-        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+        depth = integer(self.max_depth)
+        if depth is None:
             raise ValueError(f"max_depth must be an int, got {self.max_depth!r}")
+        self.max_depth = depth
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.time_limit is not None and (
@@ -64,7 +68,7 @@ class SolveParams:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     elapsed_seconds: float
     best_energy: float
@@ -140,23 +144,30 @@ class _Run:
         self.t0 = time.perf_counter()
         limit = params.time_limit
         self.deadline = math.inf if limit is None else self.t0 + limit
-        self.trace: list[TraceRecord] = []
+        # the trace by columns: per record, its elapsed seconds, its best
+        # energy and its four counters, depth first
+        self.seconds = array("d")
+        self.energies = array("d")
+        self.counters = array("q")
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.t0
 
     def record(self) -> None:
         if self.params.record_trace:
-            self.trace.append(
-                TraceRecord(
-                    elapsed_seconds=self.elapsed(),
-                    best_energy=self.config.energy,
-                    depth=self.depth,
-                    flips_accepted=self.flips_accepted,
-                    subsets_evaluated=self.subsets_evaluated,
-                    cstree_nodes=self.tree.node_count,
-                )
+            self.seconds.append(self.elapsed())
+            self.energies.append(self.config.energy)
+            self.counters.extend(
+                (self.depth, self.flips_accepted, self.subsets_evaluated, self.tree.node_count)
             )
+
+    def trace(self) -> list[TraceRecord]:
+        """The records, as `TraceRecord`s."""
+        counters = iter(self.counters)
+        return [
+            TraceRecord(*r)
+            for r in zip(self.seconds, self.energies, counters, counters, counters, counters)
+        ]
 
     def sweep(self, s: int | None, step, block, sink: TagList) -> None:
         """Try flipping node s and each node after it under `step`, until
@@ -268,6 +279,9 @@ def flip_search(
             # any smaller size, and their revisits did not all run
             completed = 0
     run.record()
+    # the flip-delta state is freed before the recompute and the trace add
+    # their own memory
+    run.scratch = None
     recomputed = energy(graph, run.config.bits)
     return SolveResult(
         configuration=run.config,
@@ -278,7 +292,7 @@ def flip_search(
         cstree_nodes=run.tree.node_count,
         recomputed_energy=recomputed,
         time_limit_hit=time_up,
-        trace=run.trace,
+        trace=run.trace(),
     )
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from flipsearch import write_model
-from flipsearch.cli import main
+from flipsearch.cli import _build_parser, main
 
 from conftest import grid_graph, trap_graph
 
@@ -95,8 +95,33 @@ class TestSolve:
         assert rc == 1
 
     def test_bad_init(self, trap_file, capsys):
-        rc = main(["solve", str(trap_file), "--max-depth", "1", "--init", "wat"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc_info:
+            main(["solve", str(trap_file), "--max-depth", "1", "--init", "wat"])
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("init", ["bogus", "file:", "Unary", "zeros:"])
+    def test_bad_init_is_refused_before_the_model_is_read(self, tmp_path, capsys, init):
+        args = ["solve", str(tmp_path / "nope.bfg"), "--max-depth", "1"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(args + ["--init", init])
+        assert exc_info.value.code == 2
+        assert "--init" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "init, policy, energy",
+        [("unary", "unary_min", "2.0"), ("zeros", "all_zero", "2.0"), ("file:", "given", "1.0")],
+    )
+    def test_each_init_form(self, trap_file, tmp_path, capsys, init, policy, energy):
+        """At depth 1 the trap stays where it starts: at 00 (energy 2.0)
+        from the unary choice or from zeros, at 11 (energy 1.0) from the
+        bits file."""
+        if init == "file:":
+            (tmp_path / "init.txt").write_text("11\n")
+            init += str(tmp_path / "init.txt")
+        args = ["solve", str(trap_file), "--max-depth", "1", "--init", init]
+        assert _build_parser().parse_args(args).init[0] == policy
+        assert main(args) == 0
+        assert f"energy {energy}" in capsys.readouterr().out
 
 
 class TestGenerate:

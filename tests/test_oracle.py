@@ -123,6 +123,18 @@ class TestHammingBound:
         with pytest.raises(ValueError, match="non-negative int"):
             verify_hamming_bound(g, c, n)
 
+    @pytest.mark.parametrize("n", [np.True_, np.float64(1.0), np.int64(-1)])
+    def test_numpy_non_radii_are_refused(self, n):
+        g = build_factor_graph(1, [Factor((0,), (1.0, 0.0))])
+        with pytest.raises(ValueError, match="non-negative int"):
+            verify_hamming_bound(g, make_configuration(g, [0]), n)
+
+    def test_numpy_integer_radius(self):
+        g = build_factor_graph(1, [Factor((0,), (1.0, 0.0))])
+        assert verify_hamming_bound(g, make_configuration(g, [0]), np.int64(0))
+        assert not verify_hamming_bound(g, make_configuration(g, [0]), np.int64(1))
+        assert verify_hamming_bound(g, make_configuration(g, [1]), np.uint8(1))
+
     def test_budget(self, grid):
         c = make_configuration(grid, [0] * 6)
         with pytest.raises(ValueError):

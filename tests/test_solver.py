@@ -204,6 +204,16 @@ class TestFlipSearch:
                 SolveParams(max_depth=1, time_limit=bad)
         assert SolveParams(max_depth=1, time_limit=1).time_limit == 1
 
+    @pytest.mark.parametrize("depth", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_depths(self, depth):
+        params = SolveParams(max_depth=depth)
+        assert params.max_depth == 2 and type(params.max_depth) is int
+
+    @pytest.mark.parametrize("bad", [np.True_, np.float64(2.0), np.int64(0), np.int64(-2)])
+    def test_numpy_non_depths_are_refused(self, bad):
+        with pytest.raises(ValueError, match="max_depth"):
+            SolveParams(max_depth=bad)
+
 
 class TestIcm:
     def test_equals_depth_one_on_random_models(self):
