@@ -30,7 +30,7 @@ import dataclasses
 import json
 import re
 from array import array
-from itertools import compress
+from itertools import compress, islice
 from typing import IO, Iterable
 
 import numpy as np
@@ -64,11 +64,13 @@ def write_model(graph: FactorGraph, destination) -> None:
 
 
 def _write_model(graph: FactorGraph, fh: IO[str]) -> None:
-    fh.write("bfg 1\n")
-    fh.write(f"vars {graph.variable_count}\n")
-    for f in graph.factors:
-        fh.write(f"factor {f.arity} " + " ".join(str(v) for v in f.scope) + "\n")
-        fh.write(" ".join(repr(x) for x in f.table) + "\n")
+    m = graph.variable_count
+    values = map(repr, graph.tables.tolist())
+    fh.write(f"bfg 1\nvars {m}\n")
+    for scope in graph.scopes.T.tolist():
+        scope = [str(v) for v in scope if v != m]
+        table = " ".join(islice(values, 1 << len(scope)))
+        fh.write(f"factor {len(scope)} {' '.join(scope)}\n{table}\n")
 
 
 def parse_model(source) -> FactorGraph:

@@ -1,14 +1,17 @@
-"""Seeded generators for the two synthetic model families.
+"""Seeded generators for the two synthetic model families, which lay
+each model out with numpy in the arrays of `model.graph_from_arrays`.
 
-Randomness comes from numpy's PCG64 with an explicit 64-bit seed, so the
-same spec yields bit-identical models on any platform.
+Randomness comes from numpy's PCG64 with an explicit seed, so the same
+spec yields bit-identical models on any platform.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
-from .model import Factor, FactorGraph, build_factor_graph
+from .model import FactorGraph, graph_from_arrays, integer
 
 import numpy as np
 
@@ -25,6 +28,15 @@ __all__ = [
 _JUNCTION_TABLE = (0.0, 100.0, 0.6, 1.2, 2.4)
 
 
+def _integers(spec, **least: int) -> None:
+    """Make each field named in `least` an int of at least its bound."""
+    for name, bound in least.items():
+        value = integer(getattr(spec, name))
+        if value is None or value < bound:
+            raise ValueError(f"{name} must be an int >= {bound}, got {getattr(spec, name)!r}")
+        object.__setattr__(spec, name, value)
+
+
 @dataclass(frozen=True)
 class IsingSpec:
     height: int
@@ -33,10 +45,14 @@ class IsingSpec:
     seed: int
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("grid dimensions must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        _integers(self, height=1, width=1, seed=0)
+        try:
+            alpha = float(self.alpha) if isinstance(self.alpha, numbers.Real) else math.nan
+        except OverflowError:  # an int beyond the float range
+            alpha = math.inf
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -46,17 +62,18 @@ class SubgraphGridSpec:
     seed: int
 
     def __post_init__(self):
-        if self.cell_height < 2 or self.cell_width < 2:
-            raise ValueError("cell grid must be at least 2x2 to have junctions")
+        _integers(self, cell_height=2, cell_width=2, seed=0)  # for a junction
 
 
-def _random_unaries(m: int, rng: np.random.Generator) -> list[Factor]:
-    # E(0) uniform on [0,1), E(1) its complement
-    factors = []
-    for v in range(m):
-        e0 = float(rng.random())
-        factors.append(Factor(scope=(v,), table=(e0, 1.0 - e0)))
-    return factors
+def _grid_model(m: int, seed: int, scopes: np.ndarray, table) -> FactorGraph:
+    """m unaries, E(0) uniform on [0,1) and E(1) its complement, then a
+    factor with `table` on each row of `scopes`."""
+    e0 = np.random.Generator(np.random.PCG64(seed)).random(m)
+    count, k = scopes.shape
+    arity = np.repeat(np.array([1, k], dtype=np.int64), [m, count])
+    flat = np.concatenate((np.arange(m), scopes.ravel()))
+    values = np.concatenate((np.column_stack((e0, 1.0 - e0)).ravel(), np.tile(table, count)))
+    return graph_from_arrays(m, arity, flat, 1 << arity, values)
 
 
 def generate_ising(spec: IsingSpec) -> FactorGraph:
@@ -67,19 +84,10 @@ def generate_ising(spec: IsingSpec) -> FactorGraph:
     horizontal edges row-major, then all vertical edges row-major.
     """
     h, w = spec.height, spec.width
-    m = h * w
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    factors = _random_unaries(m, rng)
-    pair = (0.0, spec.alpha, spec.alpha, 0.0)
-    for i in range(h):
-        for j in range(w - 1):
-            v = i * w + j
-            factors.append(Factor(scope=(v, v + 1), table=pair))
-    for i in range(h - 1):
-        for j in range(w):
-            v = i * w + j
-            factors.append(Factor(scope=(v, v + w), table=pair))
-    return build_factor_graph(m, factors)
+    grid = np.arange(h * w).reshape(h, w)
+    left, top = grid[:, :-1].ravel(), grid[:-1].ravel()
+    pairs = np.concatenate((np.column_stack((left, left + 1)), np.column_stack((top, top + w))))
+    return _grid_model(h * w, spec.seed, pairs, (0.0, spec.alpha, spec.alpha, 0.0))
 
 
 def junction_potential(s: int) -> float:
@@ -101,29 +109,11 @@ def generate_subgraph_grid(spec: SubgraphGridSpec) -> FactorGraph:
     """
     h, w = spec.cell_height, spec.cell_width
     n_horizontal = (h - 1) * w
-    m = n_horizontal + h * (w - 1)
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    factors = _random_unaries(m, rng)
-
-    def horizontal(i: int, j: int) -> int:
-        # boundary between cells (i, j) and (i+1, j)
-        return i * w + j
-
-    def vertical(i: int, j: int) -> int:
-        # boundary between cells (i, j) and (i, j+1)
-        return n_horizontal + i * (w - 1) + j
-
-    table = tuple(
-        _JUNCTION_TABLE[((a >> 3) & 1) + ((a >> 2) & 1) + ((a >> 1) & 1) + (a & 1)]
-        for a in range(16)
-    )
-    for i in range(1, h):
-        for j in range(1, w):
-            scope = (
-                horizontal(i - 1, j - 1),
-                horizontal(i - 1, j),
-                vertical(i - 1, j - 1),
-                vertical(i, j - 1),
-            )
-            factors.append(Factor(scope=scope, table=table))
-    return build_factor_graph(m, factors)
+    # junction (i, j), row-major over i < h-1 and j < w-1, joins horizontal
+    # boundaries i*w + j and i*w + j + 1 and vertical boundaries k and
+    # k + w - 1, k = n_horizontal + i*(w-1) + j
+    horizontal = (np.arange(h - 1)[:, None] * w + np.arange(w - 1)).ravel()
+    vertical = n_horizontal + np.arange(len(horizontal))
+    scopes = np.column_stack((horizontal, horizontal + 1, vertical, vertical + w - 1))
+    table = [_JUNCTION_TABLE[bin(a).count("1")] for a in range(16)]
+    return _grid_model(n_horizontal + h * (w - 1), spec.seed, scopes, table)

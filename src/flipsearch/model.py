@@ -112,9 +112,9 @@ class FactorGraph:
         for field in fields(self)[1:]:
             getattr(self, field.name).flags.writeable = False
 
-    @cached_property
+    @property
     def factors(self) -> tuple[Factor, ...]:
-        """The factors as `Factor` tuples, built on first use."""
+        """The factors as `Factor` tuples, built anew on each access."""
         scopes = self.scopes.T
         real = scopes < self.variable_count
         variables = iter(scopes[real].tolist())
@@ -330,16 +330,26 @@ def _check_bits(graph: FactorGraph, bits: Sequence[int]) -> np.ndarray:
 
 
 def table_indices(graph: FactorGraph, bits: np.ndarray) -> np.ndarray:
-    """Each factor's table index under `bits`, a checked uint8 array."""
-    return kernels.table_index(np.append(bits, np.uint8(0)).take(graph.scopes))
+    """Each factor's table index under `bits`, a checked uint8 array; the
+    bits are gathered one scope slot at a time, to bound the temporaries."""
+    padded = np.append(bits, np.uint8(0))
+    index = np.zeros(len(graph.table_start), dtype=np.int64)
+    for slot in graph.scopes:
+        index <<= 1
+        index |= padded.take(slot)
+    return index
 
 
 def indexed_energy(graph: FactorGraph, index: np.ndarray) -> float:
     """Sum of the table entries `index` selects, one per factor, added one
-    by one in factor order, starting from +0.0."""
+    by one in factor order, starting from +0.0; `index` is left as it is."""
     terms = np.zeros(len(index) + 1)
-    # with mode "clip" take writes to `out` directly; "raise" would buffer
-    graph.tables.take(graph.table_start + index, out=terms[1:], mode="clip")
+    # each entry's position is laid in the slot its value goes to, which
+    # take reads before writing; with mode "clip" take writes to `out`
+    # directly, "raise" would buffer
+    entries = terms[1:].view(np.int64)
+    np.add(graph.table_start, index, out=entries)
+    graph.tables.take(entries, out=terms[1:], mode="clip")
     # add.accumulate adds sequentially, so this is the plain loop's sum
     np.add.accumulate(terms, out=terms)
     return float(terms[-1])

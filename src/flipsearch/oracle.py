@@ -45,11 +45,12 @@ def brute_force_minimize(
     energies = np.zeros(n, dtype=np.float64)
     # bit j of a configuration is stored at position m-1-j, so increasing
     # integer code order is lexicographic order of bit vectors
-    for f in graph.factors:
+    for scope, start in zip(graph.scopes.T.tolist(), graph.table_start.tolist()):
         idx = np.zeros(n, dtype=np.int64)
-        for v in f.scope:
-            idx = 2 * idx + ((codes >> (m - 1 - v)) & 1)
-        energies += np.asarray(f.table, dtype=np.float64)[idx]
+        for v in scope:
+            if v < m:  # not the padding
+                idx = 2 * idx + ((codes >> (m - 1 - v)) & 1)
+        energies += graph.tables[start:][idx]
     best = int(np.argmin(energies))
     bits = np.array([(best >> (m - 1 - j)) & 1 for j in range(m)], dtype=np.uint8)
     return Configuration(bits, float(energies[best])), float(energies[best])

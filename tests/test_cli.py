@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from flipsearch import write_model
+from flipsearch import Factor, FactorGraph, write_model
 from flipsearch.cli import _build_parser, main
 
 from conftest import grid_graph, trap_graph
@@ -158,6 +158,26 @@ class TestGenerate:
         assert rc == 0
         assert "12 variables" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["ising", "--size", "0x3", "--alpha", "0.5", "--seed", "0"], "height"),
+            (["ising", "--size", "3x0", "--alpha", "0.5", "--seed", "0"], "width"),
+            (["ising", "--size", "3x3", "--alpha", "nan", "--seed", "0"], "alpha"),
+            (["ising", "--size", "3x3", "--alpha", "inf", "--seed", "0"], "alpha"),
+            (["ising", "--size", "3x3", "--alpha", "-0.5", "--seed", "0"], "alpha"),
+            (["ising", "--size", "3x3", "--alpha", "0.5", "--seed", "-1"], "seed"),
+            (["subgraph-grid", "--size", "1x3", "--seed", "0"], "cell_height"),
+            (["subgraph-grid", "--size", "3x1", "--seed", "0"], "cell_width"),
+            (["subgraph-grid", "--size", "3x3", "--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_spec_names_its_field(self, tmp_path, capsys, args, field):
+        out = tmp_path / "model.bfg"
+        assert main(["generate", *args, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
 
 class TestExactAndVerify:
     def test_exact_trap(self, trap_file, capsys):
@@ -213,3 +233,26 @@ def test_console_entry_point(trap_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "11"
+
+
+def test_no_command_builds_a_factor(tmp_path, monkeypatch, capsys):
+    """Every command works from the graph's arrays alone: none makes a
+    `Factor` or reads `FactorGraph.factors`."""
+
+    def refuse(*args):
+        raise AssertionError("a Factor was built")
+
+    monkeypatch.setattr(Factor, "__post_init__", refuse)
+    monkeypatch.setattr(FactorGraph, "factors", property(refuse))
+    ising, grid, bits = (str(tmp_path / name) for name in ("ising.bfg", "grid.bfg", "bits.txt"))
+    commands = [
+        ["generate", "ising", "--size", "3x3", "--alpha", "0.5", "--seed", "1", "-o", ising],
+        ["generate", "subgraph-grid", "--size", "2x3", "--seed", "1", "-o", grid],
+        ["solve", ising, "--max-depth", "2", "--out", bits],
+        ["solve", grid, "--max-depth", "2"],
+        ["exact", ising],
+        ["verify", ising, bits, "--hamming", "1"],
+        ["count-subgraphs", grid, "--max-size", "3", "--check"],
+    ]
+    for command in commands:
+        assert main(command) == 0, command

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,35 @@ class TestIsing:
             IsingSpec(0, 5, alpha=0.1, seed=0)
         with pytest.raises(ValueError):
             IsingSpec(5, 5, alpha=-0.1, seed=0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((2.5, 3, 0.5, 0), "height"),
+            ((True, 3, 0.5, 0), "height"),
+            ((np.float64(3), 3, 0.5, 0), "height"),
+            ((3, 0, 0.5, 0), "width"),
+            ((3, "3", 0.5, 0), "width"),
+            ((3, 3, math.nan, 0), "alpha"),
+            ((3, 3, math.inf, 0), "alpha"),
+            ((3, 3, -1e-300, 0), "alpha"),
+            ((3, 3, 10**400, 0), "alpha"),
+            ((3, 3, "0.5", 0), "alpha"),
+            ((3, 3, 0.5, -1), "seed"),
+            ((3, 3, 0.5, 1.0), "seed"),
+            ((3, 3, 0.5, np.True_), "seed"),
+        ],
+    )
+    def test_spec_field_errors_name_the_field(self, fields, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            IsingSpec(*fields)
+
+    def test_spec_takes_numpy_numbers_as_plain_ones(self):
+        spec = IsingSpec(np.int32(3), np.uint8(4), np.float32(0.25), np.int64(9))
+        assert spec == IsingSpec(3, 4, 0.25, 9)
+        fields = (spec.height, spec.width, spec.alpha, spec.seed)
+        assert list(map(type, fields)) == [int, int, float, int]
+        assert generate_ising(spec) == generate_ising(IsingSpec(3, 4, 0.25, 9))
 
 
 class TestJunctionPotential:
@@ -124,3 +154,23 @@ class TestSubgraphGrid:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SubgraphGridSpec(1, 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((2.5, 3, 0), "cell_height"),
+            ((False, 3, 0), "cell_height"),
+            ((3, 1, 0), "cell_width"),
+            ((3, None, 0), "cell_width"),
+            ((3, 3, -1), "seed"),
+            ((3, 3, 0.0), "seed"),
+        ],
+    )
+    def test_spec_field_errors_name_the_field(self, fields, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            SubgraphGridSpec(*fields)
+
+    def test_spec_takes_numpy_integers(self):
+        spec = SubgraphGridSpec(np.int16(3), np.uint32(4), np.int64(5))
+        assert [type(x) for x in (spec.cell_height, spec.cell_width, spec.seed)] == [int] * 3
+        assert generate_subgraph_grid(spec) == generate_subgraph_grid(SubgraphGridSpec(3, 4, 5))

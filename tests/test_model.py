@@ -10,19 +10,27 @@ from flipsearch import (
     Factor,
     IsingSpec,
     SolveParams,
+    SubgraphGridSpec,
     build_factor_graph,
     energy,
     energy_after_flip,
     flip,
     flip_search,
     generate_ising,
+    generate_subgraph_grid,
     kernels,
     make_configuration,
     neighbors,
     parse_model,
     write_model,
 )
-from flipsearch.model import ModelError, _FlipScratch, graph_from_arrays
+from flipsearch.model import (
+    ModelError,
+    _FlipScratch,
+    graph_from_arrays,
+    indexed_energy,
+    table_indices,
+)
 
 from conftest import random_graph
 from scope_walk import scalar_delta
@@ -403,6 +411,35 @@ def test_incident_weights_peak_memory_is_bounded():
     weights, peak = traced_peak(kernels.incident_weights, g)
     assert peak < WEIGHTS_PEAK_PER_ENTRY * len(g.incident)
     assert weights.dtype == np.int32
+
+
+# `energy` gathers the scopes one slot at a time and lays the table
+# positions in its terms array. It peaked at 17.3 and 17.7 bytes per factor
+# on these models under tracemalloc with numpy 2.4, against 24.0 and 36.7
+# when it gathered every slot at once and added the table starts into a
+# separate array.
+ENERGY_PEAK_PER_FACTOR = 18
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        generate_ising(IsingSpec(200, 200, 0.5, 0)),
+        generate_subgraph_grid(SubgraphGridSpec(100, 100, 0)),
+    ],
+    ids=["ising", "subgraph"],
+)
+def test_energy_peak_memory_is_bounded(graph):
+    bits = np.random.default_rng(0).integers(0, 2, graph.variable_count, dtype=np.uint8)
+    # the index and sum of every slot gathered at once, as a reference
+    index = kernels.table_index(np.append(bits, 0).take(graph.scopes))
+    kept = index.copy()
+    expected = indexed_energy(graph, index)
+    assert np.array_equal(index, kept)
+    assert np.array_equal(table_indices(graph, bits), index)
+    e, peak = traced_peak(energy, graph, bits)
+    assert e.hex() == expected.hex()
+    assert peak <= ENERGY_PEAK_PER_FACTOR * len(graph.table_start)
 
 
 @pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, 1.5, "1", None])
