@@ -85,7 +85,7 @@ def flip_delta(index, subset, incident, incident_start, weight, table_start, tab
 
 def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
     """Energy changes of toggling each row of `rows`, and the table lookups
-    per row.
+    of the whole block.
 
     `index` holds each factor's current table index; `rows` is a (B, n)
     array of distinct variables per row. Each row's factors are laid out in
@@ -108,7 +108,7 @@ def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
         half = count // 2
         head = flip_deltas(index, rows[:half], graph, terms)
         tail = flip_deltas(index, rows[half:], graph, terms)
-        return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
+        return np.concatenate((head[0], tail[0])), head[1] + tail[1]
     # entry i is factor f[i], incident to the variable at `position[i]` of
     # row `row[i]`; entries come in the scalar visiting order, row by row
     offset = np.repeat(start - np.cumsum(degree) + degree, degree)
@@ -137,4 +137,4 @@ def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
     flat[at] = graph.tables.take(new)
     flat[at + 1] = -graph.tables.take(cur)
     np.add.accumulate(work, axis=1, out=work)
-    return work[:, -1].copy(), 2 * np.bincount(row, minlength=count)
+    return work[:, -1].copy(), 2 * len(kept)

@@ -351,8 +351,16 @@ def indexed_energy(graph: FactorGraph, index: np.ndarray) -> float:
     np.add(graph.table_start, index, out=entries)
     graph.tables.take(entries, out=terms[1:], mode="clip")
     # add.accumulate adds sequentially, so this is the plain loop's sum
-    np.add.accumulate(terms, out=terms)
+    with np.errstate(over="ignore"):
+        np.add.accumulate(terms, out=terms)
     return float(terms[-1])
+
+
+def _finite_energy(e: float) -> float:
+    """`e`, or a ModelError if it is not finite."""
+    if not math.isfinite(e):
+        raise ModelError(f"energy {e!r} is not finite: the table values sum past the float range")
+    return e
 
 
 def energy(graph: FactorGraph, bits: Sequence[int]) -> float:
@@ -383,6 +391,7 @@ class _FlipScratch:
 
     def __init__(self, graph: FactorGraph):
         self.graph = graph
+        # table lookups: a scalar call's, and a block's total once computed
         self.evaluations = 0
         # the index of the all-zero bits until `track` is called
         self.index = np.zeros(len(graph.table_start), dtype=np.int64)
@@ -403,9 +412,9 @@ class _FlipScratch:
         self._tables, self._walk = views[:5], views[:3] + views[5:]
         self._work = np.zeros(0)
         self._rows = None
-        # the block's deltas and lookups once computed, and the variables
-        # in or next to a flip since then
-        self._values = self._lookups = None
+        # the block's deltas once computed, and the variables in or next to
+        # a flip since then
+        self._values = None
         self._dirty: set[int] = set()
 
     def track(self, index: np.ndarray) -> None:
@@ -452,11 +461,12 @@ class _FlipScratch:
                 values, lookups = kernels.flip_deltas(
                     self.index, self._rows, self.graph, self._terms
                 )
-                self._values, self._lookups = values.tolist(), lookups.tolist()
+                self._values = values.tolist()
+                self.evaluations += lookups
                 self._dirty.clear()
             if self._dirty.isdisjoint(subset):
-                self.evaluations += self._lookups[slot]
                 return self._values[slot]
+            return kernels.flip_delta(self._index, subset, *self._tables)[0]
         d, lookups = kernels.flip_delta(self._index, subset, *self._tables)
         self.evaluations += lookups
         return d

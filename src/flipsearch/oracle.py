@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ENERGY_REL_TOL, Configuration, FactorGraph, energy, integer, neighbors
+from .model import _finite_energy
 
 __all__ = [
     "EnumerationReport",
@@ -36,7 +37,7 @@ def brute_force_minimize(
     graph: FactorGraph, max_variables: int = 24
 ) -> tuple[Configuration, float]:
     """Scan all 2^m configurations; return the lexicographically smallest
-    argmin and its energy."""
+    argmin and its energy, or raise ModelError if that is not finite."""
     m = graph.variable_count
     if m > max_variables:
         raise ValueError(f"{m} variables exceed the brute-force guard {max_variables}")
@@ -50,10 +51,12 @@ def brute_force_minimize(
         for v in scope:
             if v < m:  # not the padding
                 idx = 2 * idx + ((codes >> (m - 1 - v)) & 1)
-        energies += graph.tables[start:][idx]
+        with np.errstate(over="ignore"):
+            energies += graph.tables[start:][idx]
     best = int(np.argmin(energies))
+    e = _finite_energy(float(energies[best]))
     bits = np.array([(best >> (m - 1 - j)) & 1 for j in range(m)], dtype=np.uint8)
-    return Configuration(bits, float(energies[best])), float(energies[best])
+    return Configuration(bits, e), e
 
 
 def enumerate_connected_subsets_recursive(

@@ -16,6 +16,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .model import (
     ModelError,
     _FlipScratch,
     _check_bits,
+    _finite_energy,
     energy,
     flip,
     indexed_energy,
@@ -50,7 +52,6 @@ __all__ = [
 class SolveParams:
     max_depth: int
     time_limit: float | None = None
-    record_trace: bool = True
 
     def __post_init__(self):
         depth = integer(self.max_depth)
@@ -88,11 +89,18 @@ class SolveResult:
     cstree_nodes: int
     recomputed_energy: float
     time_limit_hit: bool
-    trace: list[TraceRecord] = field(default_factory=list)
+    # per record: elapsed seconds; best energy; depth, flips, evaluations, nodes
+    trace_columns: tuple[array, array, array] = field(repr=False)
 
     @property
     def energy(self) -> float:
         return self.configuration.energy
+
+    @cached_property
+    def trace(self) -> list[TraceRecord]:
+        """The records, built when first read."""
+        seconds, energies, counters = self.trace_columns
+        return [TraceRecord(*r) for r in zip(seconds, energies, *[iter(counters)] * 4)]
 
 
 def initial_configuration(
@@ -112,7 +120,8 @@ def initial_configuration(
         unary = (graph.scopes[:-1] == m).all(axis=0)
         entries = graph.table_start[unary][:, None] + [0, 1]
         sums = np.zeros((m, 2))
-        np.add.at(sums, graph.scopes[-1, unary], graph.tables[entries])
+        with np.errstate(over="ignore"):
+            np.add.at(sums, graph.scopes[-1, unary], graph.tables[entries])
         bits = (sums[:, 1] < sums[:, 0]).astype(np.uint8)
         return make_configuration(graph, bits)
     if policy == "given":
@@ -130,65 +139,52 @@ class _TimeUp(Exception):
     pass
 
 
+def _level_blocks(tree: CSTree, s: int):
+    """First-pass blocks (ids, rows): the built rows of s's level from s on."""
+    while s is not None:
+        rows = tree.rows_of(np.arange(s, s + BLOCK_ROWS))
+        yield range(s, s + len(rows)), rows
+        s = tree.next_subset_of_same_size(s + len(rows) - 1)
+
+
+def _selected_blocks(tree: CSTree, selection: np.ndarray):
+    """Revisit blocks (ids, rows): `selection`, cut at level ends."""
+    while len(selection):
+        rows = tree.rows_of(selection[:BLOCK_ROWS])
+        yield selection[: len(rows)].tolist(), rows
+        selection = selection[len(rows) :]
+
+
 class _Run:
     """Mutable state of one solve."""
 
     def __init__(self, graph: FactorGraph, config: Configuration, params: SolveParams):
         self.config = config
-        self.params = params
         self.tree = CSTree(graph)
         self.scratch = _FlipScratch(graph)
         self.flips_accepted = 0
         self.subsets_evaluated = 0
         self.depth = 1
         self.t0 = time.perf_counter()
-        limit = params.time_limit
-        self.deadline = math.inf if limit is None else self.t0 + limit
-        # the trace by columns: per record, its elapsed seconds, its best
-        # energy and its four counters, depth first
-        self.seconds = array("d")
-        self.energies = array("d")
-        self.counters = array("q")
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
+        self.deadline = self.t0 + (params.time_limit or math.inf)
+        self.seconds, self.energies, self.counters = array("d"), array("d"), array("q")
 
     def record(self) -> None:
-        if self.params.record_trace:
-            self.seconds.append(self.elapsed())
-            self.energies.append(self.config.energy)
-            self.counters.extend(
-                (self.depth, self.flips_accepted, self.subsets_evaluated, self.tree.node_count)
-            )
+        self.seconds.append(time.perf_counter() - self.t0)
+        self.energies.append(self.config.energy)
+        self.counters.extend(
+            (self.depth, self.flips_accepted, self.subsets_evaluated, self.tree.node_count)
+        )
 
-    def trace(self) -> list[TraceRecord]:
-        """The records, as `TraceRecord`s."""
-        counters = iter(self.counters)
-        return [
-            TraceRecord(*r)
-            for r in zip(self.seconds, self.energies, counters, counters, counters, counters)
-        ]
-
-    def sweep(self, s: int | None, step, block, sink: TagList) -> None:
-        """Try flipping node s and each node after it under `step`, until
-        None; accept a flip iff it strictly lowers the energy.
-
-        `block(s)` gives the ids of the next nodes `step` will visit from s
-        on; `CSTree.rows_of` keeps those of s's level, and their subsets are
-        evaluated as one block, in one loop. `step` is asked once per block,
-        from its last node, for the node the next block starts at; until
-        then the counters and the created nodes are brought up to date only
-        at a flip and when the time runs out, so that each record and a cut
-        run report the node being examined.
-        """
+    def sweep(self, blocks, tags: TagList) -> None:
+        """Try flipping each subset of `blocks`, (ids, rows) pairs of one
+        level; accept a flip iff it strictly lowers the energy, and tag what
+        it touches. The counters and created nodes catch up at a flip, for
+        its record, and at a block's end, where the clock is read."""
         tree, scratch, config = self.tree, self.scratch, self.config
         delta_of = scratch.delta
-        clock, deadline = time.perf_counter, self.deadline
-        while s is not None:
-            ids = block(s)
-            rows = tree.rows_of(ids)
+        for ids, rows in blocks:
             scratch.load_block(rows)
-            ids = ids[: len(rows)].tolist()
             evaluated = self.subsets_evaluated
             for slot, subset in enumerate(rows.tolist()):
                 delta = delta_of(subset, slot)
@@ -196,17 +192,13 @@ class _Run:
                     self.subsets_evaluated = evaluated + slot + 1
                     tree.create_through(ids[slot])
                     flip(config, subset, config.energy + delta)
-                    near = scratch.flipped(subset)
                     self.flips_accepted += 1
-                    sink.tag_connected_variables(near)
+                    tags.tag_connected_variables(scratch.flipped(subset))
                     self.record()
-                if clock() > deadline:
-                    self.subsets_evaluated = evaluated + slot + 1
-                    tree.create_through(ids[slot])
-                    raise _TimeUp
             self.subsets_evaluated = evaluated + len(ids)
             tree.create_through(ids[-1])
-            s = step(ids[-1])
+            if time.perf_counter() > self.deadline:
+                raise _TimeUp
 
 
 def flip_search(
@@ -215,13 +207,14 @@ def flip_search(
     """Run the depth-limited flip search from `config` (modified in place).
 
     Bits that are not a uint8 array are replaced by a checked uint8 copy;
-    an energy that is not, within ENERGY_REL_TOL * max(1, |E|), the energy
-    E of the bits raises ModelError. A run stopped by its time limit reports
-    as completed the last depth it finished, or 0 if it has flipped since.
+    a non-finite energy E of the bits, or an energy not within
+    ENERGY_REL_TOL * max(1, |E|) of E, raises ModelError. A run stopped by
+    its time limit reports as completed the last depth it finished, or 0 if
+    it has flipped since.
     """
     config.bits = _check_bits(graph, config.bits)
     index = table_indices(graph, config.bits)
-    given, e = config.energy, indexed_energy(graph, index)
+    given, e = config.energy, _finite_energy(indexed_energy(graph, index))
     if not (math.isfinite(given) and abs(given - e) <= ENERGY_REL_TOL * max(1.0, abs(e))):
         raise ModelError(
             f"configuration energy {given!r} is not the energy of its bits, {e!r}"
@@ -229,8 +222,7 @@ def flip_search(
     run = _Run(graph, config, params)
     run.scratch.track(index)
     tree = run.tree
-    tags_a = TagList(graph.variable_count)
-    tags_b = TagList(graph.variable_count)
+    tags = TagList(graph.variable_count)
     completed = 0
     # flips accepted when depth `completed` was finished
     certified_flips = 0
@@ -248,24 +240,12 @@ def flip_search(
                 # ones with additive deltas
                 run.depth = completed = params.max_depth
                 break
-            run.sweep(
-                s,
-                tree.next_subset_of_same_size,
-                lambda s: np.arange(s, s + BLOCK_ROWS),
-                tags_a,
-            )
-            while True:
-                s = tags_a.first_tagged_subset(tree)
-                if s is None:
-                    break
-                run.sweep(
-                    s,
-                    lambda s, tags=tags_a: tags.next_tagged_subset(tree, s),
-                    lambda s, tags=tags_a: tags.selected_from(tree, s, BLOCK_ROWS),
-                    tags_b,
-                )
-                tags_a.untag_all()
-                tags_a, tags_b = tags_b, tags_a
+            run.sweep(_level_blocks(tree, s), tags)
+            # a round revisits what is tagged at its start; its flips tag anew
+            while tags.first_tagged_subset(tree) is not None:
+                selection = tags.selection(tree)
+                tags.untag_all()
+                run.sweep(_selected_blocks(tree, selection), tags)
             completed = n
             certified_flips = run.flips_accepted
             if n == params.max_depth:
@@ -279,8 +259,7 @@ def flip_search(
             # any smaller size, and their revisits did not all run
             completed = 0
     run.record()
-    # the flip-delta state is freed before the recompute and the trace add
-    # their own memory
+    # the flip-delta state is freed before the recompute adds its own memory
     run.scratch = None
     recomputed = energy(graph, run.config.bits)
     return SolveResult(
@@ -292,7 +271,7 @@ def flip_search(
         cstree_nodes=run.tree.node_count,
         recomputed_energy=recomputed,
         time_limit_hit=time_up,
-        trace=run.trace(),
+        trace_columns=(run.seconds, run.energies, run.counters),
     )
 
 

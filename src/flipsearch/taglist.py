@@ -13,9 +13,9 @@ class TagList:
     """A flag per variable plus an explicit list of tagged indices, so
     clearing costs O(#tagged) rather than O(m).
 
-    The traversal methods drive the revisiting sweeps over the created part
-    of the CS-tree and never grow it: a sweep visits, in level order, every
-    node whose subset holds a tagged variable. The nodes are selected one
+    `selection` drives the revisiting rounds over the created part of the
+    CS-tree and never grows it: a round visits, in level order, every node
+    whose subset holds a tagged variable. The nodes are selected one
     level at a time from the CS-tree's parent rows and labels, by the
     recurrence `mask_n = mask_{n-1}[parent_n] | flags[label_n]` over the
     created nodes (`mask_0` is False, for the root), into one ascending
@@ -54,7 +54,7 @@ class TagList:
             self.tagged += new
             self._selected_in = None
 
-    def _selected(self, tree: CSTree) -> np.ndarray:
+    def selection(self, tree: CSTree) -> np.ndarray:
         """Ids of the created nodes whose subset holds a tagged variable."""
         if self._selected_in != (tree, tree.node_count):
             self._selected_in = (tree, tree.node_count)
@@ -69,20 +69,14 @@ class TagList:
             self._selection = np.concatenate(hits)
         return self._selection
 
-    def selected_from(self, tree: CSTree, s: int, count: int) -> np.ndarray:
-        """Ids of the first `count` selected nodes from s on, in level order."""
-        selection = self._selected(tree)
-        i = int(np.searchsorted(selection, s))
-        return selection[i : i + count]
-
     def first_tagged_subset(self, tree: CSTree) -> int | None:
         """First created node, in level order, whose subset holds a tagged variable."""
-        selection = self._selected(tree)
+        selection = self.selection(tree)
         return selection.item(0) if len(selection) else None
 
     def next_tagged_subset(self, tree: CSTree, s: int) -> int | None:
         """Next created node after s, in level order and across levels, whose
         subset holds a tagged variable."""
-        selection = self._selected(tree)
+        selection = self.selection(tree)
         i = int(np.searchsorted(selection, s, side="right"))
         return selection.item(i) if i < len(selection) else None

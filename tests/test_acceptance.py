@@ -137,7 +137,7 @@ def test_criterion_07_depth_dominance():
                 c = fs.initial_configuration(g, "unary_min")
                 finals.append(
                     fs.flip_search(
-                        g, c, fs.SolveParams(max_depth=depth, record_trace=False)
+                        g, c, fs.SolveParams(max_depth=depth)
                     ).recomputed_energy
                 )
             for a, b in zip(finals, finals[1:]):
@@ -171,7 +171,7 @@ def test_criterion_08_near_linear_scaling():
                 c = fs.initial_configuration(g, "unary_min")
                 t0 = time.perf_counter()
                 fs.flip_search(
-                    g, c, fs.SolveParams(max_depth=3, record_trace=False)
+                    g, c, fs.SolveParams(max_depth=3)
                 )
                 times.append((time.perf_counter() - t0) / g.variable_count)
         per_variable[hw] = statistics.median(times)

@@ -1,14 +1,21 @@
 """The solver walks each block of up to BLOCK_ROWS subsets in one loop and
-asks the CS-tree or the tag list for the next block once per block. Where the
-blocks end must change nothing: not the counters, the trace, the energy or
-the bits, and not what a run cut short by its time limit reports."""
+reads the clock once per block, at its end. Where the blocks end must change
+nothing in a whole run: not the counters, the trace, the energy or the bits.
+A run cut short by its time limit stops at one of the whole run's block
+ends and reports a depth it has certified."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsearch import SolveParams, flip_search, initial_configuration, make_configuration
+from flipsearch import (
+    SolveParams,
+    flip_search,
+    initial_configuration,
+    make_configuration,
+    verify_hamming_bound,
+)
 from flipsearch import model, solver
 
 from test_golden import GOLDEN
@@ -18,16 +25,26 @@ from test_solver import _Clock, weighted_models
 BLOCKS = (1, 2, 3, 7, solver.BLOCK_ROWS)
 
 
-def solve(graph, bits, depth, block_rows, time_limit=None, clock=None):
-    """A solve in blocks of `block_rows`. Each trace record and the result
-    count as evaluated exactly the subsets whose delta was asked for."""
+def solve(graph, bits, depth, block_rows, time_limit=None, clock=None, ends=None):
+    """A solve in blocks of `block_rows`; the evaluation count at the end of
+    each block is appended to `ends`, if given. Each trace record and the
+    result count as evaluated exactly the subsets whose delta was asked for."""
     calls = 0
-    delta, record = model._FlipScratch.delta, solver._Run.record
+    starts = []
+    delta, load_block, record = (
+        model._FlipScratch.delta,
+        model._FlipScratch.load_block,
+        solver._Run.record,
+    )
 
     def counted_delta(*args):
         nonlocal calls
         calls += 1
         return delta(*args)
+
+    def counted_load_block(scratch, rows):
+        starts.append(calls)
+        load_block(scratch, rows)
 
     def checked_record(run):
         assert run.subsets_evaluated == calls
@@ -36,6 +53,7 @@ def solve(graph, bits, depth, block_rows, time_limit=None, clock=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "BLOCK_ROWS", block_rows)
         mp.setattr(model._FlipScratch, "delta", counted_delta)
+        mp.setattr(model._FlipScratch, "load_block", counted_load_block)
         mp.setattr(solver._Run, "record", checked_record)
         if clock is not None:
             mp.setattr(solver, "time", clock)
@@ -45,6 +63,8 @@ def solve(graph, bits, depth, block_rows, time_limit=None, clock=None):
             SolveParams(max_depth=depth, time_limit=time_limit),
         )
     assert r.subsets_evaluated == calls
+    if ends is not None:
+        ends += starts[1:] + [calls]
     return r
 
 
@@ -81,15 +101,27 @@ def readings(graph, bits, depth):
     return int(clock.now)
 
 
-def assert_cuts_agree(graph, bits, depth, ticks):
-    """Cut after each reading count in `ticks`: what the run reports, and
-    when it reads the clock, is the same for every block size."""
-    for t in ticks:
-        runs = [
-            outcome(solve(graph, bits, depth, b, time_limit=t + 0.5, clock=_Clock()), True)
-            for b in BLOCKS
-        ]
-        assert runs[1:] == runs[:-1], f"cut after {t} readings"
+def assert_cuts_are_prefixes(graph, bits, depth, ticks):
+    """Cut after each reading count in `ticks`, in blocks of each size: the
+    cut run's trace up to its last record is a prefix of the whole run's,
+    it stops where a block of the whole run ends, at the energy and the
+    flips of its last flip, and the depth it reports as completed holds its
+    certificate."""
+    for b in BLOCKS:
+        ends = []
+        whole = outcome(solve(graph, bits, depth, b, ends=ends))
+        for t in ticks:
+            r = solve(graph, bits, depth, b, time_limit=t + 0.5, clock=_Clock())
+            if not r.time_limit_hit:
+                assert outcome(r) == whole, f"block {b}, {t} readings"
+                continue
+            trace = outcome(r)[-1]
+            assert trace[:-1] == whole[-1][: len(trace) - 1], f"block {b}, {t} readings"
+            assert r.subsets_evaluated in ends
+            _, energy, _, flips, _, _ = trace[-2]
+            assert (r.energy.hex(), r.flips_accepted) == (energy, flips)
+            assert r.completed_depth < depth
+            assert verify_hamming_bound(graph, r.configuration, r.completed_depth)
 
 
 def golden_start(name):
@@ -106,18 +138,18 @@ def test_block_size_changes_no_golden_solve(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_block_size_changes_no_golden_cut(name):
+def test_golden_cuts_are_prefixes_of_the_whole_run(name):
     graph, bits, depth = golden_start(name)
     n = readings(graph, bits, depth)
     # every early cut, then 12 more spread over the rest of the run
     ticks = sorted(set(range(1, 40)) | set(np.linspace(40, n, 12).astype(int).tolist()))
-    assert_cuts_agree(graph, bits, depth, ticks)
+    assert_cuts_are_prefixes(graph, bits, depth, ticks)
 
 
 @settings(max_examples=40, deadline=None)
 @given(weighted=weighted_models(), depth=st.integers(1, 3))
-def test_block_size_changes_no_random_solve_or_cut(weighted, depth):
+def test_block_size_changes_no_random_solve_and_cuts_are_prefixes(weighted, depth):
     graph, bits = weighted
     runs = [outcome(solve(graph, bits, depth, b)) for b in BLOCKS]
     assert runs[1:] == runs[:-1]
-    assert_cuts_agree(graph, bits, depth, range(1, readings(graph, bits, depth) + 1))
+    assert_cuts_are_prefixes(graph, bits, depth, range(1, readings(graph, bits, depth) + 1))

@@ -256,3 +256,20 @@ def test_no_command_builds_a_factor(tmp_path, monkeypatch, capsys):
     ]
     for command in commands:
         assert main(command) == 0, command
+
+
+@pytest.mark.parametrize("command", [["solve", "--max-depth", "1"], ["exact"]])
+def test_energy_past_the_float_range_is_a_clear_error(tmp_path, command):
+    """Two finite tables that sum to inf: the command fails with one line
+    that says why, and no numpy warning."""
+    path = tmp_path / "overflow.bfg"
+    path.write_text("bfg 1\nvars 1\n" + "factor 1 0\n1e308 1e308\n" * 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipsearch.cli", command[0], str(path), *command[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: energy inf is not finite: the table values sum past the float range\n"
+    )

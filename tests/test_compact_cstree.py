@@ -87,7 +87,7 @@ def assert_same_selection(tree, ref, data):
     tags = TagList(m)
     for v in data.draw(st.lists(st.integers(0, m - 1), max_size=4)) if m else ():
         tags.tag(v)
-    selection = tags.selected_from(tree, 0, tree.node_count + 1)
+    selection = tags.selection(tree)
     assert selection.tolist() == reference_selection(ref, tags.flags).tolist()
 
 

@@ -108,7 +108,7 @@ def model(name):
 def test_golden_solve(name):
     graph, depth = model(name)
     config = fs.initial_configuration(graph, "unary_min")
-    r = fs.flip_search(graph, config, fs.SolveParams(max_depth=depth, record_trace=False))
+    r = fs.flip_search(graph, config, fs.SolveParams(max_depth=depth))
     bits = "".join(str(int(b)) for b in r.configuration.bits)
     got = (r.subsets_evaluated, r.cstree_nodes, r.flips_accepted, r.energy.hex(), bits)
     assert got == GOLDEN[name]

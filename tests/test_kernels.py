@@ -121,8 +121,8 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
     bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
     index = table_indices(graph, bits)
     no_rows = np.zeros((0, 1), dtype=np.int32)
-    empty = kernels.flip_deltas(index, no_rows, graph, np.zeros)
-    assert [len(x) for x in empty] == [0, 0]
+    deltas, lookups = kernels.flip_deltas(index, no_rows, graph, np.zeros)
+    assert len(deltas) == lookups == 0
     tree = build_levels(graph, depth)
     # one scratch's work matrix for every block, whatever its shape
     terms = _FlipScratch(graph)._terms
@@ -134,8 +134,10 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
             lo = int(rng.integers(0, len(rows)))
             for block in (rows, rows[lo : lo + int(rng.integers(1, 5))]):
                 deltas, lookups = kernels.flip_deltas(index, block, graph, terms)
-                got = [(d.hex(), k) for d, k in zip(deltas.tolist(), lookups.tolist())]
-                assert got == [scalar_delta(graph, bits, row) for row in block.tolist()]
+                expected = [scalar_delta(graph, bits, row) for row in block.tolist()]
+                assert [d.hex() for d in deltas.tolist()] == [d for d, _ in expected]
+                # the block's lookups are the sum of its rows' scalar lookups
+                assert lookups == sum(k for _, k in expected)
     finally:
         kernels.BLOCK_CELLS = saved
 
@@ -149,7 +151,8 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
 def test_cached_deltas_follow_flips_between_evaluations(model, depth, flip_rate):
     """Each level is one block of the scratch's cache; flips in between make
     later entries stale, and the scratch must return the scalar value of
-    the bits as they are at each call."""
+    the bits as they are at each call. The block's lookups are counted at
+    its first call, as the sum of its rows' scalar lookups."""
     graph, rng = model
     bits = rng.integers(0, 2, graph.variable_count).astype(np.uint8)
     tree = build_levels(graph, depth)
@@ -158,10 +161,12 @@ def test_cached_deltas_follow_flips_between_evaluations(model, depth, flip_rate)
     for n in range(1, tree.level_count + 1):
         rows = tree.level(n)[1]
         scratch.load_block(rows)
+        before = scratch.evaluations
+        lookups = sum(scalar_delta(graph, bits, r)[1] for r in rows.tolist())
         for slot, row in enumerate(rows.tolist()):
-            before = scratch.evaluations
             d = scratch.delta(row, slot)
-            assert (d.hex(), scratch.evaluations - before) == scalar_delta(graph, bits, row)
+            assert d.hex() == scalar_delta(graph, bits, row)[0]
+            assert scratch.evaluations - before == lookups
             if rng.random() < flip_rate:
                 bits[row] ^= 1
                 near = scratch.flipped(row)
@@ -177,19 +182,22 @@ def test_cached_deltas_follow_flips_between_evaluations(model, depth, flip_rate)
 )
 def test_index_stays_exact_through_solves(model, depth, ticks):
     """In whole and time-cut solves, the scratch's index equals the one
-    recomputed from the bits after every flip, and every delta and lookup
-    count equals the scope-walk kernel's on the bits of the moment."""
+    recomputed from the bits after every flip, and every delta equals the
+    scope-walk kernel's on the bits of the moment. A started block is
+    evaluated in full, so the scratch counts the sum of the scope-walk
+    kernel's lookups, in cut runs too."""
     graph, rng = model
     config = make_configuration(graph, rng.integers(0, 2, graph.variable_count))
     delta, flipped = _FlipScratch.delta, _FlipScratch.flipped
     calls = []
+    scratches = set()
 
     def checked_delta(scratch, subset, slot=None):
-        before = scratch.evaluations
         d = delta(scratch, subset, slot)
-        got = (d.hex(), scratch.evaluations - before)
-        assert got == scalar_delta(graph, config.bits, subset)
-        calls.append(got)
+        expected, lookups = scalar_delta(graph, config.bits, subset)
+        assert d.hex() == expected
+        calls.append(lookups)
+        scratches.add(scratch)
         return d
 
     def checked_flipped(scratch, subset):
@@ -209,3 +217,4 @@ def test_index_stays_exact_through_solves(model, depth, ticks):
             SolveParams(max_depth=depth, time_limit=ticks and ticks + 0.5),
         )
     assert len(calls) == result.subsets_evaluated
+    assert [s.evaluations for s in scratches] == ([sum(calls)] if calls else [])

@@ -7,19 +7,21 @@ from flipsearch import (
     Factor,
     IsingSpec,
     SolveParams,
+    SubgraphGridSpec,
     brute_force_minimize,
     build_factor_graph,
     energy,
     energy_after_flip,
     flip_search,
     generate_ising,
+    generate_subgraph_grid,
     icm,
     initial_configuration,
     make_configuration,
     verify_hamming_bound,
 )
-from flipsearch import solver
-from flipsearch.model import ENERGY_REL_TOL
+from flipsearch import CSTree, TagList, solver
+from flipsearch.model import ENERGY_REL_TOL, _FlipScratch
 
 from conftest import higher_order_models, random_graph
 
@@ -303,7 +305,10 @@ class _Clock:
 
 def test_a_cut_after_a_deeper_flip_certifies_no_depth():
     """(0, 0, 0) is 1-optimal; flipping {0, 1} at depth 2 makes flipping 2
-    improve, and the clock runs out right after that flip."""
+    improve. The clock is read at the start, at each trace record and at
+    each block's end: readings 1-3 are the start, its record and depth 1's
+    one block, 4 and 5 the records of depth 2's start and of the flip, and
+    reading 6 ends depth 2's one block past the deadline of 4.5."""
     g = build_factor_graph(
         3,
         [
@@ -318,7 +323,7 @@ def test_a_cut_after_a_deeper_flip_certifies_no_depth():
         result = flip_search(
             g,
             make_configuration(g, [0, 0, 0]),
-            SolveParams(max_depth=2, time_limit=3.5, record_trace=False),
+            SolveParams(max_depth=2, time_limit=3.5),
         )
     assert result.time_limit_hit
     assert result.configuration.bits.tolist() == [1, 1, 0]
@@ -338,7 +343,7 @@ def test_a_run_cut_short_reports_an_honest_depth(model, depth, ticks):
         result = flip_search(
             g,
             make_configuration(g, bits),
-            SolveParams(max_depth=depth, time_limit=ticks + 0.5, record_trace=False),
+            SolveParams(max_depth=depth, time_limit=ticks + 0.5),
         )
     assert result.completed_depth <= result.reached_depth <= depth
     if result.time_limit_hit:
@@ -347,3 +352,64 @@ def test_a_run_cut_short_reports_an_honest_depth(model, depth, ticks):
         assert result.completed_depth == depth
     assert verify_hamming_bound(g, result.configuration, result.completed_depth)
     assert close(result.energy, result.recomputed_energy)
+
+
+@pytest.mark.parametrize(
+    "graph, depth, first_pass, revisits, rounds",
+    [
+        (lambda: generate_ising(IsingSpec(30, 30, 0.5, 0)), 5, 72_833, 12_191, 25),
+        (lambda: generate_subgraph_grid(SubgraphGridSpec(100, 100, 0)), 2, 78_606, 64_619, 9),
+        (lambda: generate_ising(IsingSpec(200, 200, 0.5, 0)), 1, 40_000, 40_353, 10),
+    ],
+    ids=["ising-30x30-d5", "subgraph-100x100-d2", "ising-200x200-d1"],
+)
+def test_hooks_split_the_evaluations_into_first_pass_and_revisits(
+    graph, depth, first_pass, revisits, rounds
+):
+    """A traced benchmark run books each delta call to the first pass or to
+    the revisits by the CS-tree growth or `first_tagged_subset` call that
+    came before it, and counts a revisit round per `first_tagged_subset`
+    that finds a node. The seed-0 benchmark models pin those counts."""
+    graph = graph()
+    phase, calls, found, sweeps = None, {"first": 0, "revisit": 0}, 0, 0
+    hooks = {
+        (CSTree, "first_subset_of_size"): "first",
+        (CSTree, "next_subset_of_same_size"): "first",
+        (TagList, "first_tagged_subset"): "revisit",
+    }
+
+    def marking(method, name):
+        def marked(*args):
+            nonlocal phase, found
+            phase = name
+            out = method(*args)
+            if name == "revisit" and out is not None:
+                found += 1
+            return out
+
+        return marked
+
+    def counted_delta(*args):
+        calls[phase] += 1
+        return delta(*args)
+
+    def counted_sweep(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return sweep(*args)
+
+    delta, sweep = _FlipScratch.delta, solver._Run.sweep
+    with pytest.MonkeyPatch.context() as mp:
+        for (cls, attr), name in hooks.items():
+            mp.setattr(cls, attr, marking(getattr(cls, attr), name))
+        mp.setattr(_FlipScratch, "delta", counted_delta)
+        mp.setattr(solver._Run, "sweep", counted_sweep)
+        r = flip_search(
+            graph, initial_configuration(graph, "unary_min"), SolveParams(max_depth=depth)
+        )
+    assert not r.time_limit_hit
+    assert (calls["first"], calls["revisit"], found) == (first_pass, revisits, rounds)
+    assert calls["first"] == r.cstree_nodes
+    assert calls["revisit"] == r.subsets_evaluated - r.cstree_nodes
+    # one first-pass sweep per depth, and one sweep per round
+    assert found == sweeps - depth
