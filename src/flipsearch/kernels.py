@@ -56,7 +56,9 @@ def incident_weights(graph) -> np.ndarray:
     )
     weights = np.zeros(len(variable), dtype=np.int32 if width <= 31 else np.int64)
     for slot, row in enumerate(graph.scopes):
-        np.copyto(weights, 1 << (width - 1 - slot), where=row.take(graph.incident) == variable)
+        # indexing with the int32 `incident` converts it to intp piecewise,
+        # where `take` would convert all of it first
+        np.copyto(weights, 1 << (width - 1 - slot), where=row[graph.incident] == variable)
     return weights
 
 
@@ -68,7 +70,22 @@ def flip_delta(index, subset, incident, incident_start, weight, table_start, tab
     its table entry after the flip and subtracts the one before. Every
     argument after `subset` is a memoryview of the like-named array
     (`weight` from `incident_weights`).
+
+    A variable fills at most one slot of a scope, so a one-variable subset
+    visits each of its factors once, in incidence order, with that entry's
+    weight as the mask: it is summed in that order without the dict.
     """
+    if len(subset) == 1:
+        (v,) = subset
+        lo, hi = incident_start[v], incident_start[v + 1]
+        delta = 0.0
+        for i in range(lo, hi):
+            f = incident[i]
+            t = table_start[f]
+            cur = index[f]
+            delta += tables[t + (cur ^ weight[i])]
+            delta -= tables[t + cur]
+        return delta, 2 * (hi - lo)
     mask = {}
     for v in subset:
         for i in range(incident_start[v], incident_start[v + 1]):
@@ -92,7 +109,9 @@ def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
     the order `flip_delta` visits them, row position first, then incidence
     order. A factor counts only at the first position that holds one of its
     scope variables and is 0.0 elsewhere; past a row's end everything is
-    0.0. Adding the terms in that order, with the sequential
+    0.0. In a one-variable row every entry is its factor's only position,
+    so the scope comparison is skipped and each entry's mask is its slot
+    weight. Adding the terms in that order, with the sequential
     `np.add.accumulate`, repeats the scalar additions exactly: adding 0.0
     leaves a sum that starts at +0.0 unchanged, and subtracting v is adding
     -v. `terms(shape)`, e.g. `np.zeros`, gives the zeroed float64 matrix
@@ -110,18 +129,27 @@ def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
         tail = flip_deltas(index, rows[half:], graph, terms)
         return np.concatenate((head[0], tail[0])), head[1] + tail[1]
     # entry i is factor f[i], incident to the variable at `position[i]` of
-    # row `row[i]`; entries come in the scalar visiting order, row by row
-    offset = np.repeat(start - np.cumsum(degree) + degree, degree)
-    f = graph.incident.take(offset + np.arange(size))
+    # row `row[i]`, and `column[i]` is its place among the row's entries;
+    # entries come in the scalar visiting order, row by row
+    entry = np.repeat(start - np.cumsum(degree) + degree, degree) + np.arange(size)
+    f = graph.incident.take(entry)
+    entries = degree.reshape(count, n).sum(axis=1)
+    column = np.arange(size) - np.repeat(np.cumsum(entries) - entries, entries)
     cell = np.arange(count * n, dtype=np.int32)
-    row, position = np.repeat(cell // n, degree), np.repeat(cell % n, degree)
-    # hit[a, j, i]: scope slot a of entry i holds the variable at row position j
-    scope = graph.scopes.take(f, axis=1)
-    hit = scope[:, None, :] == np.ascontiguousarray(rows.T).take(row, axis=1)
-    earlier = np.arange(n)[:, None] < position
-    kept = np.flatnonzero(~(hit.any(axis=0) & earlier).any(axis=0))
-    mask = table_index(hit.any(axis=1)).take(kept)
-    f, row = f.take(kept), row.take(kept)
+    row = np.repeat(cell // n, degree)
+    if n == 1:
+        # a factor's one position in a one-variable row is its first: every
+        # entry is kept, its mask being the entry's slot weight
+        mask = graph.incident_weights.take(entry)
+    else:
+        position = np.repeat(cell % n, degree)
+        # hit[a, j, i]: scope slot a of entry i holds the variable at row position j
+        scope = graph.scopes.take(f, axis=1)
+        hit = scope[:, None, :] == np.ascontiguousarray(rows.T).take(row, axis=1)
+        earlier = np.arange(n)[:, None] < position
+        kept = np.flatnonzero(~(hit.any(axis=0) & earlier).any(axis=0))
+        mask = table_index(hit.any(axis=1)).take(kept)
+        f, row, column = f.take(kept), row.take(kept), column.take(kept)
     base = graph.table_start.take(f)
     cur = index.take(f)
     new = base + (cur ^ mask)
@@ -129,12 +157,12 @@ def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
     # terms[r, 1 + 2c] and terms[r, 2 + 2c] hold the table values gained and
     # lost (negated) at row r's c-th entry; an add.accumulate along each row
     # adds them in that order to the +0.0 of terms[r, 0]
-    entries = degree.reshape(count, n).sum(axis=1)
-    column = np.arange(size) - np.repeat(np.cumsum(entries) - entries, entries)
     work = terms((count, 1 + 2 * int(entries.max(initial=0))))
-    at = row * work.shape[1] + 1 + 2 * column.take(kept)
+    at = row * work.shape[1] + 1 + 2 * column
     flat = work.reshape(-1)
     flat[at] = graph.tables.take(new)
     flat[at + 1] = -graph.tables.take(cur)
-    np.add.accumulate(work, axis=1, out=work)
-    return work[:, -1].copy(), 2 * len(kept)
+    # a sum past the float range is +-inf, which the solver rejects
+    with np.errstate(over="ignore"):
+        np.add.accumulate(work, axis=1, out=work)
+    return work[:, -1].copy(), 2 * len(f)

@@ -336,7 +336,8 @@ def table_indices(graph: FactorGraph, bits: np.ndarray) -> np.ndarray:
     index = np.zeros(len(graph.table_start), dtype=np.int64)
     for slot in graph.scopes:
         index <<= 1
-        index |= padded.take(slot)
+        # indexing converts the int32 slot to intp piecewise, `take` at once
+        index |= padded[slot]
     return index
 
 
@@ -384,9 +385,10 @@ class _FlipScratch:
     for the whole block at the block's first `delta` call into one terms
     matrix that lives as long as the scratch. A cached value is bit for bit
     the scalar one while no variable in S or next to S has flipped since, S
-    being the subset. `flipped` collects each flipped set T and its
-    neighbours, and S is stale iff it meets them; a stale entry is
-    recomputed by the scalar kernel.
+    being the subset. `flipped` adds each flipped set T and its neighbours
+    to `stale`, which the block's computation empties, and S is stale iff
+    it meets `stale`; a stale entry is recomputed by the scalar kernel.
+    So at a block's end `stale` is what the block's flips touched.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -415,7 +417,7 @@ class _FlipScratch:
         # the block's deltas once computed, and the variables in or next to
         # a flip since then
         self._values = None
-        self._dirty: set[int] = set()
+        self.stale: set[int] = set()
 
     def track(self, index: np.ndarray) -> None:
         """Take `index`, the `table_indices` of the bits, as the current one."""
@@ -447,7 +449,7 @@ class _FlipScratch:
             for i in range(incident_start[v], incident_start[v + 1]):
                 index[incident[i]] ^= weight[i]
             near.update(adjacent[adjacent_start[v] : adjacent_start[v + 1]])
-        self._dirty |= near
+        self.stale |= near
         return near
 
     def delta(self, subset, slot=None) -> float:
@@ -463,8 +465,8 @@ class _FlipScratch:
                 )
                 self._values = values.tolist()
                 self.evaluations += lookups
-                self._dirty.clear()
-            if self._dirty.isdisjoint(subset):
+                self.stale.clear()
+            if self.stale.isdisjoint(subset):
                 return self._values[slot]
             return kernels.flip_delta(self._index, subset, *self._tables)[0]
         d, lookups = kernels.flip_delta(self._index, subset, *self._tables)

@@ -155,7 +155,8 @@ def verify_hamming_bound(
 
     Energies of flipped configurations are recomputed from scratch; a
     relative tolerance absorbs summation-order rounding. `n` must be a
-    non-negative integer, numpy's included, and not a bool.
+    non-negative integer, numpy's included, and not a bool; a configuration
+    whose energy is not finite raises ModelError.
     """
     radius = integer(n)
     if radius is None or radius < 0:
@@ -164,7 +165,7 @@ def verify_hamming_bound(
     checks = sum(math.comb(m, k) for k in range(1, min(radius, m) + 1))
     if checks > max_checks:
         raise ValueError(f"{checks} flip checks exceed the budget {max_checks}")
-    base = energy(graph, config.bits)
+    base = _finite_energy(energy(graph, config.bits))
     threshold = base - rel_tol * max(1.0, abs(base))
     bits = config.bits.copy()
     for k in range(1, min(radius, m) + 1):

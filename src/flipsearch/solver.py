@@ -178,23 +178,30 @@ class _Run:
 
     def sweep(self, blocks, tags: TagList) -> None:
         """Try flipping each subset of `blocks`, (ids, rows) pairs of one
-        level; accept a flip iff it strictly lowers the energy, and tag what
-        it touches. The counters and created nodes catch up at a flip, for
-        its record, and at a block's end, where the clock is read."""
+        level; accept a flip iff it strictly lowers the energy, and raise
+        ModelError if the energy it leads to is not finite. The counters and
+        created nodes catch up at a flip, for its record, and at a block's
+        end, where what the block's flips touched is tagged and the clock is
+        read."""
         tree, scratch, config = self.tree, self.scratch, self.config
         delta_of = scratch.delta
         for ids, rows in blocks:
             scratch.load_block(rows)
-            evaluated = self.subsets_evaluated
+            evaluated, flips = self.subsets_evaluated, self.flips_accepted
             for slot, subset in enumerate(rows.tolist()):
                 delta = delta_of(subset, slot)
                 if delta < 0.0:
+                    e = _finite_energy(config.energy + delta)
                     self.subsets_evaluated = evaluated + slot + 1
                     tree.create_through(ids[slot])
-                    flip(config, subset, config.energy + delta)
+                    flip(config, subset, e)
                     self.flips_accepted += 1
-                    tags.tag_connected_variables(scratch.flipped(subset))
+                    scratch.flipped(subset)
                     self.record()
+            if self.flips_accepted > flips:
+                # tags are read only between sweeps, so one call per block
+                # tags the union of its flips' neighbourhoods
+                tags.tag_connected_variables(scratch.stale)
             self.subsets_evaluated = evaluated + len(ids)
             tree.create_through(ids[-1])
             if time.perf_counter() > self.deadline:
@@ -208,9 +215,10 @@ def flip_search(
 
     Bits that are not a uint8 array are replaced by a checked uint8 copy;
     a non-finite energy E of the bits, or an energy not within
-    ENERGY_REL_TOL * max(1, |E|) of E, raises ModelError. A run stopped by
-    its time limit reports as completed the last depth it finished, or 0 if
-    it has flipped since.
+    ENERGY_REL_TOL * max(1, |E|) of E, raises ModelError, and so does a
+    flip to an energy that is not finite. A run stopped by its time limit
+    reports as completed the last depth it finished, or 0 if it has flipped
+    since.
     """
     config.bits = _check_bits(graph, config.bits)
     index = table_indices(graph, config.bits)

@@ -42,8 +42,9 @@ class TagList:
         self._selected_in = None
 
     def tag_connected_variables(self, variables) -> None:
-        """Tag `variables`, distinct variable ids: in a solve, a flipped set
-        and its graph neighbours, as `_FlipScratch.flipped` returns them."""
+        """Tag `variables`, distinct variable ids: in a solve, once per
+        block with flips, the flipped sets and their graph neighbours, which
+        the scratch's `stale` set holds at the block's end."""
         if variables and not (0 <= min(variables) and max(variables) < len(self._raw)):
             raise IndexError(f"variables {sorted(variables)} out of range")
         raw = self._raw

@@ -273,3 +273,21 @@ def test_energy_past_the_float_range_is_a_clear_error(tmp_path, command):
     assert proc.stderr == (
         "error: energy inf is not finite: the table values sum past the float range\n"
     )
+
+
+def test_verify_of_an_infinite_energy_is_a_clear_error(tmp_path):
+    """The bits 0 have energy inf and flipping them gives -inf, so no bound
+    can be checked: verify fails with the one line of solve and exact."""
+    model, bits = tmp_path / "overflow.bfg", tmp_path / "bits.txt"
+    model.write_text("bfg 1\nvars 1\n" + "factor 1 0\n1e308 -1e308\n" * 2)
+    bits.write_text("0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipsearch.cli", "verify", str(model), str(bits), "--hamming=1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: energy inf is not finite: the table values sum past the float range\n"
+    )

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from flipsearch import Factor, SolveParams, build_factor_graph, energy, kernels
 from flipsearch import flip_search, make_configuration, neighbors, solver
-from flipsearch.model import _FlipScratch, table_indices
+from flipsearch.model import _FlipScratch, graph_from_arrays, table_indices
 
 import scope_walk
 from conftest import build_levels, random_graph
@@ -140,6 +140,97 @@ def test_block_deltas_equal_scalar_deltas_bit_for_bit(model, depth, cells):
                 assert lookups == sum(k for _, k in expected)
     finally:
         kernels.BLOCK_CELLS = saved
+
+
+@st.composite
+def hub_models(draw):
+    """`weighted_models`, where variable 0 may also be in up to 60 pair
+    factors, so that its one-variable row alone exceeds a small
+    `BLOCK_CELLS`."""
+    graph, rng = draw(weighted_models())
+    m = graph.variable_count
+    if m < 2 or not draw(st.booleans()):
+        return graph, rng
+    factors = list(graph.factors)
+    for _ in range(draw(st.integers(1, 60))):
+        w = int(rng.integers(1, m))
+        table = rng.integers(-2, 3, 4) * 10.0 ** rng.integers(-8, 9, 4)
+        factors.append(Factor((0, w) if rng.random() < 0.5 else (w, 0), tuple(table)))
+    return build_factor_graph(m, factors), rng
+
+
+def scalar_kernel(graph, index, subset):
+    """`kernels.flip_delta` of `subset` at `index`, read as `_FlipScratch`
+    reads the graph."""
+    arrays = (graph.incident, graph.incident_start, graph.incident_weights)
+    arrays += (graph.table_start, graph.tables)
+    return kernels.flip_delta(memoryview(index), subset, *map(memoryview, arrays))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=hub_models(), cells=st.sampled_from([1, 8, None]))
+def test_one_variable_deltas_equal_the_scope_walk_bit_for_bit(model, cells):
+    """A one-variable row skips the scope comparison in the block kernel and
+    the mask dict in the scalar one. Both must still give the scope-walk
+    kernel's delta and lookups for every variable: isolated, in no model
+    factor at all, only in unary factors, in repeated scopes, or a hub whose
+    row alone exceeds `BLOCK_CELLS`."""
+    graph, rng = model
+    m = graph.variable_count
+    bits = rng.integers(0, 2, m).astype(np.uint8)
+    index = table_indices(graph, bits)
+    expected = [scalar_delta(graph, bits, [v]) for v in range(m)]
+    scalar = [scalar_kernel(graph, index, [v]) for v in range(m)]
+    assert [(d.hex(), k) for d, k in scalar] == expected
+    rows = np.arange(m, dtype=np.int32).reshape(m, 1)
+    terms = _FlipScratch(graph)._terms
+    saved = kernels.BLOCK_CELLS
+    kernels.BLOCK_CELLS = cells or saved
+    try:
+        lo = int(rng.integers(0, m + 1))
+        for block in (rows, rows[lo : lo + int(rng.integers(1, 5))], rows[::-1]):
+            deltas, lookups = kernels.flip_deltas(index, block, graph, terms)
+            want = [expected[v] for v in block.ravel().tolist()]
+            assert [d.hex() for d in deltas.tolist()] == [d for d, _ in want]
+            assert lookups == sum(k for _, k in want)
+    finally:
+        kernels.BLOCK_CELLS = saved
+
+
+def test_a_hub_row_past_block_cells_is_split_off_and_exact(monkeypatch):
+    """Variable 0 is in more pair factors than half of `BLOCK_CELLS`, so a
+    block of its row and three leaves' rows is halved until the hub's row
+    stands alone, and every delta is still the scope-walk kernel's."""
+    leaves = kernels.BLOCK_CELLS // 2 + 1
+    m = leaves + 1
+    rng = np.random.default_rng(19)
+    flat = np.stack([np.zeros(leaves, np.int64), np.arange(1, m)], axis=1).ravel()
+    values = rng.integers(-2, 3, 4 * leaves) * 10.0 ** rng.integers(-8, 9, 4 * leaves)
+    graph = graph_from_arrays(m, np.full(leaves, 2), flat, np.full(leaves, 4), values)
+    bits = rng.integers(0, 2, m).astype(np.uint8)
+    index = table_indices(graph, bits)
+    view = scope_walk.scalar_view(graph)
+    in_subset, touched = bytearray(m), [0] * leaves
+    rows = np.array([[0], [1], [2], [3]], dtype=np.int32)
+    expected = [
+        scope_walk.flip_delta(bits.tolist(), [v], view, in_subset, touched, v + 1)
+        for v in rows.ravel().tolist()
+    ]
+    blocks = []
+    split = kernels.flip_deltas
+
+    def recorded(index, rows, graph, terms):
+        blocks.append(rows.ravel().tolist())
+        return split(index, rows, graph, terms)
+
+    monkeypatch.setattr(kernels, "flip_deltas", recorded)
+    deltas, lookups = kernels.flip_deltas(index, rows, graph, np.zeros)
+    assert [0] in blocks
+    assert [d.hex() for d in deltas.tolist()] == [d.hex() for d, _ in expected]
+    assert lookups == sum(k for _, k in expected) == 2 * (leaves + 3)
+    for v, (d, k) in enumerate(expected):
+        got, lookups = scalar_kernel(graph, index, [v])
+        assert (got.hex(), lookups) == (d.hex(), k)
 
 
 @settings(max_examples=80, deadline=None)

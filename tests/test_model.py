@@ -413,12 +413,26 @@ def test_incident_weights_peak_memory_is_bounded():
     assert weights.dtype == np.int32
 
 
-# `energy` gathers the scopes one slot at a time and lays the table
-# positions in its terms array. It peaked at 17.3 and 17.7 bytes per factor
-# on these models under tracemalloc with numpy 2.4, against 24.0 and 36.7
-# when it gathered every slot at once and added the table starts into a
-# separate array.
-ENERGY_PEAK_PER_FACTOR = 18
+# `incident_weights` indexes each slot row with the int32 incidence, which
+# numpy converts to intp piecewise. On the 200x200 Ising grid it peaked at
+# 3.25 times the weights it returns under tracemalloc with numpy 2.4,
+# against 5.0 when `take` converted the whole incidence to intp per slot.
+WEIGHTS_PEAK_PER_WEIGHT_BYTE = 3.5
+
+
+def test_incident_weights_peak_is_bounded_by_the_weights():
+    g = generate_ising(IsingSpec(200, 200, 0.5, 0))
+    weights, peak = traced_peak(kernels.incident_weights, g)
+    assert peak <= WEIGHTS_PEAK_PER_WEIGHT_BYTE * weights.nbytes
+
+
+# `energy` gathers the scopes one slot at a time, by indexing, and lays the
+# table positions in its terms array. It peaked at 16.0 bytes per factor on
+# these models under tracemalloc with numpy 2.4, against 17.3 and 17.7 when
+# each slot was gathered with `take`, which converts the int32 slot to an
+# intp copy first, and 24.0 and 36.7 when it gathered every slot at once
+# and added the table starts into a separate array.
+ENERGY_PEAK_PER_FACTOR = 16.5
 
 
 @pytest.mark.parametrize(

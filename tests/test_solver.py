@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,11 @@ from flipsearch import (
     icm,
     initial_configuration,
     make_configuration,
+    neighbors,
     verify_hamming_bound,
 )
 from flipsearch import CSTree, TagList, solver
-from flipsearch.model import ENERGY_REL_TOL, _FlipScratch
+from flipsearch.model import ENERGY_REL_TOL, ModelError, _FlipScratch
 
 from conftest import higher_order_models, random_graph
 
@@ -413,3 +416,85 @@ def test_hooks_split_the_evaluations_into_first_pass_and_revisits(
     assert calls["revisit"] == r.subsets_evaluated - r.cstree_nodes
     # one first-pass sweep per depth, and one sweep per round
     assert found == sweeps - depth
+
+
+def rounds_against_flip_by_flip_tags(graph, bits, depth):
+    """Solve `graph` from `bits`, and check every selection the solve takes
+    against a reference tag list that tags each flipped set's closed
+    neighbourhood at the flip, as `neighbors` gives it; the reference is
+    untagged with the solver's list. Returns the number of selections."""
+    reference = TagList(graph.variable_count)
+    selection, untag_all, flip = TagList.selection, TagList.untag_all, solver.flip
+    taken = 0
+
+    def checked_selection(tags, tree):
+        nonlocal taken
+        got = selection(tags, tree)
+        if tags is not reference:
+            assert np.array_equal(got, selection(reference, tree))
+            taken += 1
+        return got
+
+    def untag_both(tags):
+        untag_all(tags)
+        if tags is not reference:
+            untag_all(reference)
+
+    def tagging_flip(config, subset, e):
+        reference.tag_connected_variables(
+            set(subset).union(*(neighbors(graph, v) for v in subset))
+        )
+        return flip(config, subset, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TagList, "selection", checked_selection)
+        mp.setattr(TagList, "untag_all", untag_both)
+        mp.setattr(solver, "flip", tagging_flip)
+        flip_search(graph, make_configuration(graph, bits), SolveParams(max_depth=depth))
+    return taken
+
+
+@pytest.mark.parametrize(
+    "graph, depth",
+    [
+        (lambda: generate_ising(IsingSpec(30, 30, 0.5, 0)), 5),
+        (lambda: generate_subgraph_grid(SubgraphGridSpec(100, 100, 0)), 2),
+        (lambda: generate_ising(IsingSpec(200, 200, 0.5, 0)), 1),
+    ],
+    ids=["ising-30x30-d5", "subgraph-100x100-d2", "ising-200x200-d1"],
+)
+def test_block_end_tags_select_what_flip_by_flip_tags_select(graph, depth):
+    """The solver tags once per block with flips; each round must still
+    select the nodes that tagging at every flip selects."""
+    graph = graph()
+    bits = initial_configuration(graph, "unary_min").bits
+    assert rounds_against_flip_by_flip_tags(graph, bits, depth) > depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=weighted_models(), depth=st.integers(1, 4))
+def test_block_end_tags_select_what_flip_by_flip_tags_select_on_random_models(
+    model, depth
+):
+    graph, bits = model
+    rounds_against_flip_by_flip_tags(graph, bits, depth)
+
+
+@pytest.mark.parametrize(
+    "factors, bits",
+    [
+        ([Factor((0,), (1e308, -1e308))], [0]),
+        ([Factor((0,), (0.0, -1e308)), Factor((1,), (0.0, -1e308))], [0, 0]),
+    ],
+    ids=["delta-overflows", "energy-overflows"],
+)
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_flip_past_the_float_range_is_a_clear_error(factors, bits, depth):
+    """A flip whose delta, or whose new energy, sums past the float range
+    raises the ModelError of a starting energy that does, and numpy warns
+    of no overflow on the way."""
+    g = build_factor_graph(len(bits), factors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="energy -inf is not finite: the table values"):
+            flip_search(g, make_configuration(g, bits), SolveParams(max_depth=depth))
