@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import fileformat, generators, oracle
-from .cstree import enumerate_connected_subsets
+from .cstree import CSTree
 from .model import Configuration
 from .solver import SolveParams, flip_search, initial_configuration
 
@@ -173,9 +173,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count_subgraphs(args) -> int:
     graph = fileformat.parse_model(args.model)
+    tree = CSTree(graph)
     counts: dict[int, int] = {}
-    for size, _ in enumerate_connected_subsets(graph, max_size=args.max_size):
-        counts[size] = counts.get(size, 0) + 1
+    size = 1
+    while args.max_size is None or size <= args.max_size:
+        if tree.first_subset_of_size(size) is None:
+            break
+        counts[size] = len(tree.links(size)[2])
+        size += 1
     for size in sorted(counts):
         print(f"size {size}: {counts[size]}")
     print(f"total {sum(counts.values())}")

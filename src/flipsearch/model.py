@@ -439,18 +439,17 @@ class _FlipScratch:
         work.fill(0.0)
         return work
 
-    def flipped(self, subset) -> set[int]:
-        """Record that the variables `subset` have just been toggled, and
-        return them with their neighbours."""
+    def flipped(self, subset) -> None:
+        """Record that the variables `subset` have just been toggled, and add
+        them with their neighbours to `stale`."""
         index = self._index
         incident, incident_start, weight, adjacent, adjacent_start = self._walk
-        near = set(subset)
+        stale = self.stale
+        stale.update(subset)
         for v in subset:
             for i in range(incident_start[v], incident_start[v + 1]):
                 index[incident[i]] ^= weight[i]
-            near.update(adjacent[adjacent_start[v] : adjacent_start[v + 1]])
-        self.stale |= near
-        return near
+            stale.update(adjacent[adjacent_start[v] : adjacent_start[v + 1]])
 
     def delta(self, subset, slot=None) -> float:
         """Energy change of toggling the variables `subset`.

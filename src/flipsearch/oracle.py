@@ -148,13 +148,13 @@ def verify_hamming_bound(
     config: Configuration,
     n: int,
     max_checks: int = 5_000_000,
-    rel_tol: float = ENERGY_REL_TOL,
 ) -> bool:
     """True iff no flip of up to n variables (connected or not) strictly
     lowers the energy.
 
-    Energies of flipped configurations are recomputed from scratch; a
-    relative tolerance absorbs summation-order rounding. `n` must be a
+    Energies of flipped configurations are recomputed from scratch; a flip
+    counts as lowering the energy E only by more than
+    ENERGY_REL_TOL * max(1, |E|), which absorbs summation-order rounding. `n` must be a
     non-negative integer, numpy's included, and not a bool; a configuration
     whose energy is not finite raises ModelError.
     """
@@ -166,7 +166,7 @@ def verify_hamming_bound(
     if checks > max_checks:
         raise ValueError(f"{checks} flip checks exceed the budget {max_checks}")
     base = _finite_energy(energy(graph, config.bits))
-    threshold = base - rel_tol * max(1.0, abs(base))
+    threshold = base - ENERGY_REL_TOL * max(1.0, abs(base))
     bits = config.bits.copy()
     for k in range(1, min(radius, m) + 1):
         for combo in itertools.combinations(range(m), k):

@@ -2,12 +2,12 @@
 
 Starting from an initial configuration, the solver flips connected subsets
 of variables whenever a flip strictly lowers the energy, working through
-subset sizes 1, 2, ... up to max_depth. For each size it first explores all
-previously unseen subsets of that size (growing the CS-tree), then
-repeatedly revisits every built subset touched by recent flips until no
-further flip helps. A run that finishes size n is optimal within Hamming
-distance n: no flip of n or fewer variables can lower the energy. At
-max_depth = 1 this is exactly Iterated Conditional Modes.
+subset sizes 1, 2, ... up to max_depth. For each size it builds that level
+of the CS-tree and first explores all of its subsets, then repeatedly
+revisits every built subset touched by recent flips until no further flip
+helps. A run that finishes size n is optimal within Hamming distance n: no
+flip of n or fewer variables can lower the energy. At max_depth = 1 this is
+exactly Iterated Conditional Modes.
 """
 
 from __future__ import annotations
@@ -139,19 +139,12 @@ class _TimeUp(Exception):
     pass
 
 
-def _level_blocks(tree: CSTree, s: int):
-    """First-pass blocks (ids, rows): the built rows of s's level from s on."""
-    while s is not None:
-        rows = tree.rows_of(np.arange(s, s + BLOCK_ROWS))
-        yield range(s, s + len(rows)), rows
-        s = tree.next_subset_of_same_size(s + len(rows) - 1)
-
-
-def _selected_blocks(tree: CSTree, selection: np.ndarray):
-    """Revisit blocks (ids, rows): `selection`, cut at level ends."""
+def _selected_blocks(tree: CSTree, selection):
+    """Blocks (ids, rows) of `selection`, ascending node ids: a level's range
+    in the first pass, a round's array in a revisit; cut at level ends."""
     while len(selection):
         rows = tree.rows_of(selection[:BLOCK_ROWS])
-        yield selection[: len(rows)].tolist(), rows
+        yield selection[: len(rows)], rows
         selection = selection[len(rows) :]
 
 
@@ -165,6 +158,9 @@ class _Run:
         self.flips_accepted = 0
         self.subsets_evaluated = 0
         self.depth = 1
+        # the highest node id the sweeps have reached, which the first pass
+        # raises a flip and a block at a time and a revisit never lowers
+        self.nodes = 0
         self.t0 = time.perf_counter()
         self.deadline = self.t0 + (params.time_limit or math.inf)
         self.seconds, self.energies, self.counters = array("d"), array("d"), array("q")
@@ -173,17 +169,17 @@ class _Run:
         self.seconds.append(time.perf_counter() - self.t0)
         self.energies.append(self.config.energy)
         self.counters.extend(
-            (self.depth, self.flips_accepted, self.subsets_evaluated, self.tree.node_count)
+            (self.depth, self.flips_accepted, self.subsets_evaluated, self.nodes)
         )
 
     def sweep(self, blocks, tags: TagList) -> None:
         """Try flipping each subset of `blocks`, (ids, rows) pairs of one
         level; accept a flip iff it strictly lowers the energy, and raise
         ModelError if the energy it leads to is not finite. The counters and
-        created nodes catch up at a flip, for its record, and at a block's
-        end, where what the block's flips touched is tagged and the clock is
-        read."""
-        tree, scratch, config = self.tree, self.scratch, self.config
+        the nodes reached catch up at a flip, for its record, and at a
+        block's end, where what the block's flips touched is tagged and the
+        clock is read."""
+        scratch, config = self.scratch, self.config
         delta_of = scratch.delta
         for ids, rows in blocks:
             scratch.load_block(rows)
@@ -193,7 +189,8 @@ class _Run:
                 if delta < 0.0:
                     e = _finite_energy(config.energy + delta)
                     self.subsets_evaluated = evaluated + slot + 1
-                    tree.create_through(ids[slot])
+                    if ids[slot] > self.nodes:
+                        self.nodes = ids[slot]
                     flip(config, subset, e)
                     self.flips_accepted += 1
                     scratch.flipped(subset)
@@ -203,7 +200,8 @@ class _Run:
                 # tags the union of its flips' neighbourhoods
                 tags.tag_connected_variables(scratch.stale)
             self.subsets_evaluated = evaluated + len(ids)
-            tree.create_through(ids[-1])
+            if ids[-1] > self.nodes:
+                self.nodes = ids[-1]
             if time.perf_counter() > self.deadline:
                 raise _TimeUp
 
@@ -248,12 +246,14 @@ def flip_search(
                 # ones with additive deltas
                 run.depth = completed = params.max_depth
                 break
-            run.sweep(_level_blocks(tree, s), tags)
+            run.sweep(_selected_blocks(tree, range(s, tree.node_count + 1)), tags)
             # a round revisits what is tagged at its start; its flips tag anew
             while tags.first_tagged_subset(tree) is not None:
-                selection = tags.selection(tree)
+                # only the walk holds the selection, so it is freed before
+                # the next round selects
+                blocks = _selected_blocks(tree, tags.selection(tree))
                 tags.untag_all()
-                run.sweep(_selected_blocks(tree, selection), tags)
+                run.sweep(blocks, tags)
             completed = n
             certified_flips = run.flips_accepted
             if n == params.max_depth:
@@ -276,7 +276,7 @@ def flip_search(
         completed_depth=completed,
         flips_accepted=run.flips_accepted,
         subsets_evaluated=run.subsets_evaluated,
-        cstree_nodes=run.tree.node_count,
+        cstree_nodes=run.nodes,
         recomputed_energy=recomputed,
         time_limit_hit=time_up,
         trace_columns=(run.seconds, run.energies, run.counters),

@@ -13,14 +13,13 @@ class TagList:
     """A flag per variable plus an explicit list of tagged indices, so
     clearing costs O(#tagged) rather than O(m).
 
-    `selection` drives the revisiting rounds over the created part of the
-    CS-tree and never grows it: a round visits, in level order, every node
-    whose subset holds a tagged variable. The nodes are selected one
+    `selection` drives the revisiting rounds over the levels the CS-tree
+    has built and never grows it: a round visits, in level order, every
+    node whose subset holds a tagged variable. The nodes are selected one
     level at a time from the CS-tree's parent rows and labels, by the
-    recurrence `mask_n = mask_{n-1}[parent_n] | flags[label_n]` over the
-    created nodes (`mask_0` is False, for the root), into one ascending
-    int64 array of node ids that is kept until a tag changes or the tree
-    grows.
+    recurrence `mask_n = mask_{n-1}[parent_n] | flags[label_n]` (`mask_0`
+    is False, for the root), into one ascending int64 array of node ids
+    that is kept until a tag changes or the tree grows.
     """
 
     def __init__(self, variable_count: int):
@@ -30,7 +29,7 @@ class TagList:
         self.flags = np.frombuffer(self._raw, dtype=bool)
         self.tagged: list[int] = []
         # the selected node ids and the (tree, node count) they were made for
-        self._selection = np.zeros(0, dtype=np.int64)
+        self._selection = None
         self._selected_in = None
 
     def tag(self, x: int) -> None:
@@ -56,8 +55,10 @@ class TagList:
             self._selected_in = None
 
     def selection(self, tree: CSTree) -> np.ndarray:
-        """Ids of the created nodes whose subset holds a tagged variable."""
+        """Ids of the nodes whose subset holds a tagged variable."""
         if self._selected_in != (tree, tree.node_count):
+            # the old selection is let go before the new one is made
+            self._selection = None
             self._selected_in = (tree, tree.node_count)
             hits = [np.zeros(0, dtype=np.int64)]
             # a node's subset holds a tagged variable iff its parent's does
@@ -71,12 +72,12 @@ class TagList:
         return self._selection
 
     def first_tagged_subset(self, tree: CSTree) -> int | None:
-        """First created node, in level order, whose subset holds a tagged variable."""
+        """First node, in level order, whose subset holds a tagged variable."""
         selection = self.selection(tree)
         return selection.item(0) if len(selection) else None
 
     def next_tagged_subset(self, tree: CSTree, s: int) -> int | None:
-        """Next created node after s, in level order and across levels, whose
+        """Next node after s, in level order and across levels, whose
         subset holds a tagged variable."""
         selection = self.selection(tree)
         i = int(np.searchsorted(selection, s, side="right"))

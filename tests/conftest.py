@@ -63,12 +63,12 @@ def higher_order_models(draw):
 
 
 def build_levels(graph, depth):
-    """Fully build CS-tree levels 1..depth; returns the tree."""
+    """Build CS-tree levels 1..depth, up to the first empty one; returns the
+    tree."""
     tree = CSTree(graph)
     for n in range(1, depth + 1):
-        p = tree.first_subset_of_size(n)
-        while p is not None:
-            p = tree.next_subset_of_same_size(p)
+        if tree.first_subset_of_size(n) is None:
+            break
     return tree
 
 

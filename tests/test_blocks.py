@@ -129,6 +129,41 @@ def golden_start(name):
     return graph, initial_configuration(graph, "unary_min").bits, depth
 
 
+def first_pass_blocks(graph, bits, depth, block_rows):
+    """Per level of a solve: its node count, and the row count of each block
+    its first pass walked, in order."""
+    passes = []
+    selected_blocks = solver._selected_blocks
+
+    def recorded(tree, selection):
+        if isinstance(selection, range):
+            passes.append((len(selection), []))
+        for ids, rows in selected_blocks(tree, selection):
+            if isinstance(selection, range):
+                passes[-1][1].append(len(rows))
+            yield ids, rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOCK_ROWS", block_rows)
+        mp.setattr(solver, "_selected_blocks", recorded)
+        flip_search(graph, make_configuration(graph, bits.copy()), SolveParams(depth))
+    return passes
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_first_pass_blocks_are_full_but_for_each_levels_last(name):
+    """The first pass walks a level's id range in blocks of BLOCK_ROWS rows,
+    so only a level's last block is shorter."""
+    graph, bits, depth = golden_start(name)
+    for b in BLOCKS:
+        passes = first_pass_blocks(graph, bits, depth, b)
+        assert len(passes) == depth
+        for size, blocks in passes:
+            assert sum(blocks) == size
+            assert blocks[:-1] == [b] * (len(blocks) - 1)
+            assert 0 < blocks[-1] <= b
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_block_size_changes_no_golden_solve(name):
     graph, bits, depth = golden_start(name)

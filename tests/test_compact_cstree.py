@@ -1,10 +1,12 @@
 """The parent-row and label CS-tree against the row-storage reference.
 
-Both trees are driven through the same calls on random graphs with hubs,
-isolated variables and several components, to levels 1-5, the top level
-often only partly created; they must agree on every level's rows, every
-sequence, every block read, every successor and node count, and on the
-revisit selection, which the reference makes as `flags[rows].any(axis=1)`.
+Both trees are built on random graphs with hubs, isolated variables and
+several components, to levels 1-5: the package's tree a whole level per
+`first_subset_of_size` call, the reference by walking the level node by
+node. Once the reference has walked a level, the two must agree on its
+rows, every sequence, every block read, every successor and the node
+count; at the end they must agree on the revisit selection, which the
+reference makes as `flags[rows].any(axis=1)`.
 """
 
 import numpy as np
@@ -49,8 +51,8 @@ def hub_models(draw):
 
 
 def reference_selection(ref, flags):
-    """Created nodes of the reference tree whose subset holds a flagged
-    variable, selected level by level from the rows."""
+    """Nodes of the reference tree whose subset holds a flagged variable,
+    selected level by level from the rows."""
     hits = [np.zeros(0, dtype=np.int64)]
     for n in range(1, ref.level_count + 1):
         first, rows = ref.level(n)
@@ -58,28 +60,38 @@ def reference_selection(ref, flags):
     return np.concatenate(hits)
 
 
-def assert_same_trees(tree, ref, data):
-    state = (tree.node_count, tree.level_count, tree.complete_level)
-    assert state == (ref.node_count, ref.level_count, ref.complete_level)
-    for n in range(1, ref.level_count + 1):
-        first, rows = tree.level(n)
-        ref_first, ref_rows = ref.level(n)
-        assert first == ref_first
-        assert rows.dtype == ref_rows.dtype and np.array_equal(rows, ref_rows)
-        if n < tree.level_count:
-            # a finished level is cut to its exact size: 8 bytes per node
-            links = tree._links[n]
-            assert links.base is None and links.nbytes == 8 * links.shape[1]
-        # an ascending run of ids from a created node on, which may reach
-        # past the created nodes into rows built ahead and past those
-        last = min(ref.node_count, first + len(ref._rows[n]) - 1)
-        s = data.draw(st.integers(first, last))
-        steps = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=12))
-        ids = s + np.cumsum([0] + steps)
-        got, expected = tree.rows_of(ids), ref.rows_of(ids)
-        assert got.shape == expected.shape and np.array_equal(got, expected)
-    for p in range(1, ref.node_count + 1):
+def walk_level(ref, n):
+    """Walk the reference's level n to its end; its first node, or None."""
+    first = p = ref.first_subset_of_size(n)
+    while p is not None:
+        p = ref.next_subset_of_same_size(p)
+    return first
+
+
+def assert_same_level(tree, ref, n, data):
+    assert (tree.node_count, tree.level_count) == (ref.node_count, ref.level_count)
+    first, rows = tree.level(n)
+    ref_first, ref_rows = ref.level(n)
+    assert first == ref_first
+    assert rows.dtype == ref_rows.dtype and np.array_equal(rows, ref_rows)
+    # the level is cut to its exact size: 8 bytes per node
+    links = tree._links[n]
+    assert links.dtype == np.int32 and links.shape == (2, len(rows))
+    assert links.base is None and links.nbytes == 8 * len(rows)
+    for p in range(first, first + len(rows)):
         assert tree.sequence_of(p) == ref.sequence_of(p)
+        assert tree.next_subset_of_same_size(p) == ref.next_subset_of_same_size(p)
+    # an ascending run of ids from a node of the level on, which may reach
+    # past its end, read as an array as a revisit does and as a range as
+    # the first pass does
+    s = data.draw(st.integers(first, first + len(rows) - 1))
+    steps = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=12))
+    ids = s + np.cumsum([0] + steps)
+    got, expected = tree.rows_of(ids), ref.rows_of(ids)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    ids = range(s, s + data.draw(st.integers(1, 40)))
+    got, expected = tree.rows_of(ids), ref.rows_of(np.arange(ids.start, ids.stop))
+    assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 def assert_same_selection(tree, ref, data):
@@ -99,43 +111,24 @@ def test_compact_tree_matches_row_reference(graph, data):
         mp.setattr(cstree, "GROWTH_CANDIDATES", candidates)
         mp.setattr(row_cstree, "GROWTH_CANDIDATES", candidates)
         tree, ref = cstree.CSTree(graph), row_cstree.CSTree(graph)
-        depth = data.draw(st.integers(1, 5))
-        for n in range(1, depth + 1):
+        for n in range(1, data.draw(st.integers(1, 5)) + 1):
             p = tree.first_subset_of_size(n)
-            assert p == ref.first_subset_of_size(n)
+            assert p == walk_level(ref, n)
             if p is None:
                 break
-            # the top level is walked for a random number of steps
-            stop = data.draw(st.integers(0, 40)) if n == depth else None
-            steps = 0
-            while p is not None and steps != stop:
-                if data.draw(st.integers(0, 9)) == 0:
-                    # create up to a node built ahead, as a block walk does
-                    built_end = ref._first[-1] + len(ref._rows[-1])
-                    q = data.draw(st.integers(p, built_end - 1))
-                    tree.create_through(q)
-                    ref.create_through(q)
-                    for t in (tree, ref):
-                        with pytest.raises(ValueError):
-                            t.create_through(built_end)
-                    assert tree.node_count == ref.node_count
-                    p = q
-                q = tree.next_subset_of_same_size(p)
-                assert q == ref.next_subset_of_same_size(p)
-                p = q
-                steps += 1
-        assert_same_trees(tree, ref, data)
+            assert_same_level(tree, ref, n, data)
         assert_same_selection(tree, ref, data)
 
 
-def test_finished_level_holds_eight_bytes_per_node():
-    # a path long enough that level 2 outgrows its first buffer
+def test_every_level_holds_eight_bytes_per_node():
+    # a path, grown in steps small enough that level 2 outgrows its first
+    # buffer several times
     m = 64
     g = build_factor_graph(m, [Factor((v, v + 1), (0.0,) * 4) for v in range(m - 1)])
-    tree = build_levels(g, 2)
-    assert tree._links[2].shape[1] == m - 1 and tree._links[2].base is not None
-    tree.first_subset_of_size(3)
-    for n, size in ((1, m), (2, m - 1)):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cstree, "GROWTH_CANDIDATES", 2)
+        tree = build_levels(g, 3)
+    for n, size in ((1, m), (2, m - 1), (3, m - 2)):
         links = tree._links[n]
         assert links.dtype == np.int32 and links.shape == (2, size)
         assert links.base is None and links.nbytes == 8 * size

@@ -90,13 +90,13 @@ class TestGrowth:
             ids += len(rows)
         assert tree.node_count == ids - 1
 
-    def test_rows_built_ahead_are_not_yet_nodes(self, grid):
+    def test_a_level_is_built_whole_when_it_starts(self, grid):
         tree = build_levels(grid, 1)
         p = tree.first_subset_of_size(2)
-        # one growth step built all seven pairs, but only one is handed out
-        assert tree.node_count == p == 7
-        assert tree.level(2)[1].tolist() == [[0, 1]]
-        assert [len(tree.level(n)[1]) for n in (1, 2)] == [6, 1]
+        # one call builds all seven pairs, and each is a node of the tree
+        assert p == 7 and tree.node_count == 6 + 7
+        assert [tuple(r) for r in tree.level(2)[1].tolist()] == GRID_PAIRS
+        assert tree.rows_of(range(p, p + 10)).tolist() == tree.level(2)[1].tolist()
 
 
 class TestLevelIteration:
@@ -121,11 +121,17 @@ class TestLevelIteration:
             p = tree.next_subset_of_same_size(p)
         assert tree.first_subset_of_size(2) is None
 
-    def test_incomplete_level_precondition(self, grid):
+    def test_levels_start_in_order(self, grid):
         tree = CSTree(grid)
-        tree.first_subset_of_size(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="in order"):
             tree.first_subset_of_size(2)
+        assert tree.first_subset_of_size(1) == 1
+        with pytest.raises(ValueError, match="already built"):
+            tree.first_subset_of_size(1)
+        with pytest.raises(ValueError, match="in order"):
+            tree.first_subset_of_size(3)
+        assert tree.first_subset_of_size(2) == 7
+        assert tree.node_count == 6 + 7
 
     def test_pair_enumeration_order(self, grid):
         tree = CSTree(grid)

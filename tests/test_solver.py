@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -478,6 +479,31 @@ def test_block_end_tags_select_what_flip_by_flip_tags_select_on_random_models(
 ):
     graph, bits = model
     rounds_against_flip_by_flip_tags(graph, bits, depth)
+
+
+def test_a_rounds_selection_is_freed_before_the_next_round_selects():
+    """Only a round's walk holds its selection, so while the next selection
+    is made, level by level from the tree's links, no earlier one is alive."""
+    graph = generate_ising(IsingSpec(10, 10, 0.5, 0))
+    selection, links, made = TagList.selection, CSTree.links, []
+
+    def tracked(tags, tree):
+        got = selection(tags, tree)
+        if not any(ref() is got for ref in made):
+            made.append(weakref.ref(got))
+        return got
+
+    def checked_links(tree, n):
+        assert all(ref() is None for ref in made)
+        return links(tree, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TagList, "selection", tracked)
+        mp.setattr(CSTree, "links", checked_links)
+        r = flip_search(
+            graph, initial_configuration(graph, "unary_min"), SolveParams(max_depth=3)
+        )
+    assert r.completed_depth == 3 and len(made) > 3
 
 
 @pytest.mark.parametrize(

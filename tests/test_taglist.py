@@ -11,7 +11,7 @@ from conftest import build_levels, higher_order_models, node_for, random_graph
 
 
 def naive_selection(tree, tags, after=0):
-    """Created nodes after `after` whose subset holds a tagged variable."""
+    """Nodes after `after` whose subset holds a tagged variable."""
     tagged = set(tags.tagged)
     return [
         p
@@ -69,9 +69,11 @@ class TestTagUntag:
 
 
 def flipped(graph, subset):
-    """The flipped set and its neighbours, as the solver's scratch returns
-    them after a flip."""
-    return _FlipScratch(graph).flipped(subset)
+    """The flipped set and its neighbours, as a fresh scratch holds them in
+    `stale` after the flip."""
+    scratch = _FlipScratch(graph)
+    scratch.flipped(subset)
+    return scratch.stale
 
 
 class TestTagConnectedVariables:
