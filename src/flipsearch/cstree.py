@@ -9,7 +9,8 @@ level at a time, each level in length-lexicographic order of its sequences.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections.abc import Callable
 
 import numpy as np
 
@@ -20,8 +21,8 @@ __all__ = [
     "enumerate_connected_subsets",
 ]
 
-# Parent rows are taken into one growth step until their (row, neighbour)
-# candidate pairs reach this many, so transient arrays stay small.
+# A growth step takes parent rows with about this many (row, neighbour)
+# candidate pairs, so transient arrays stay small.
 GROWTH_CANDIDATES = 4096
 
 
@@ -30,21 +31,23 @@ class CSTree:
 
     Level n holds, for each of its nodes in length-lexicographic order, the
     row of its parent on level n-1 and its label, the variable it appends to
-    its parent's sequence: a `(2, N_n)` int32 array, 8 bytes per node. Node
-    ids run consecutively level by level with the root as 0, so level order
-    is id order. A node's canonical sequence is rebuilt by n gathers up the
+    its parent's sequence: two 1-D int32 arrays, 8 bytes per node. Node ids
+    run consecutively level by level with the root as 0, so level order is
+    id order. A node's canonical sequence is rebuilt by n gathers up the
     parent chain, for a whole block of rows at once. `first_subset_of_size`
-    builds level n from the complete level n-1 a few thousand (row,
-    neighbour) candidates at a time, over the graph's adjacency arrays, and
-    cuts it to its exact size before it returns.
+    grows level n's arrays in place from the complete level n-1, a few
+    thousand (row, neighbour) candidates at a time over the graph's
+    adjacency arrays, and asks `expired` before each step: a build it stops
+    raises TimeoutError and leaves the tree as it was.
     """
 
-    def __init__(self, graph: FactorGraph):
+    def __init__(self, graph: FactorGraph, expired: Callable[[], bool] = lambda: False):
         self.graph = graph
-        # per level, the root being level 0: id of its first node and the
-        # (parent row, label) pairs of its nodes
+        self.expired = expired
+        # per level, the root being level 0: id of its first node, and the
+        # parent rows and the labels of its nodes
         self._first = [0]
-        self._links = [np.zeros((2, 1), dtype=np.int32)]
+        self._links = [(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))]
         # non-root nodes built: ids 1..node_count make up the tree
         self.node_count = 0
 
@@ -58,19 +61,18 @@ class CSTree:
         and the labels of its nodes."""
         if not 1 <= n <= self.level_count:
             raise ValueError(f"level {n} has not been built")
-        parent, label = self._links[n]
-        return self._first[n], parent, label
+        return self._first[n], *self._links[n]
 
     def level(self, n: int) -> tuple[int, np.ndarray]:
         """The id of level n's first node and the rows of its nodes."""
         first, _, _ = self.links(n)
-        return first, self._sequences(n, slice(None))
+        return first, self.rows(n, slice(None))
 
-    def _sequences(self, n: int, rows) -> np.ndarray:
-        """The canonical sequences of the level-n rows `rows`, an index array
+    def rows(self, n: int, rows) -> np.ndarray:
+        """The canonical sequences of level n's rows `rows`, an index array
         or a slice, as a `(len(rows), n)` int32 array: labels read up the
         parent chain."""
-        parent, label = self._links[n]
+        _, parent, label = self.links(n)
         parent, label = parent[rows], label[rows]
         out = np.empty((len(label), n), dtype=np.int32)
         out[:, n - 1] = label
@@ -88,19 +90,7 @@ class CSTree:
     def sequence_of(self, p: int) -> tuple[int, ...]:
         """The canonical sequence of node p: its labels read from the root."""
         n = self._level_of(p)
-        return tuple(self._sequences(n, [p - self._first[n]])[0].tolist())
-
-    def rows_of(self, ids) -> np.ndarray:
-        """The canonical sequences of the ascending node ids `ids`, a range or
-        an array, up to the first id past the level of ids[0]."""
-        n = self._level_of(int(ids[0]))
-        first = self._first[n]
-        end = first + self._links[n].shape[1]
-        if ids[-1] >= end:
-            ids = ids[: bisect_left(ids, end)]
-        if isinstance(ids, range):
-            return self._sequences(n, slice(ids.start - first, ids.stop - first))
-        return self._sequences(n, ids - first)
+        return tuple(self.rows(n, [p - self._first[n]])[0].tolist())
 
     def subset_of(self, p: int) -> frozenset[int]:
         return frozenset(self.sequence_of(p))
@@ -137,45 +127,46 @@ class CSTree:
         keep = ~((seq == v[:, None]) | ((seq > v[:, None]) & after)).any(axis=1)
         return row[keep], v[keep]
 
-    def _build(self, n: int) -> np.ndarray:
-        """The links of level n, grown from the complete level n-1 in steps
-        and cut to their exact size."""
+    def _build(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The parent rows and labels of level n, grown in place from the
+        complete level n-1 in steps of about GROWTH_CANDIDATES candidates."""
         if n == 1:
             # the root's children are all the variables
             m = self.graph.variable_count
-            return np.stack((np.zeros(m, dtype=np.int32), np.arange(m, dtype=np.int32)))
-        size = self._links[n - 1].shape[1]
-        adjacent_start = self.graph.adjacent_start
-        # the children go into a buffer whose capacity doubles; its slack is
-        # never written, so it takes no memory
-        buffer, built = np.empty((2, 0), dtype=np.int32), 0
-        lo, window = 0, 1
-        while lo < size:
-            # a step takes the parent rows from lo on until their candidate
-            # pairs reach GROWTH_CANDIDATES, looking at most that many rows
-            # ahead; the rows are rebuilt in a window twice as long as the
-            # last step took, doubled until it holds the step
-            span = min(GROWTH_CANDIDATES, size - lo)
-            window = min(span, window)
-            while True:
-                rows = self._sequences(n - 1, slice(lo, lo + window))
-                degree = adjacent_start[rows + 1] - adjacent_start[rows]
-                work = np.cumsum(degree.sum(axis=1))
-                if work[-1] >= GROWTH_CANDIDATES or window == span:
-                    break
-                window = min(span, 2 * window)
-            take = max(1, int(np.searchsorted(work, GROWTH_CANDIDATES)))
-            row, label = self._children(rows[:take])
-            need = built + len(label)
-            if need > buffer.shape[1]:
-                grown = np.empty((2, 2 * need), dtype=np.int32)
-                grown[:, :built] = buffer[:, :built]
-                buffer = grown
-            buffer[:, built:need] = lo + row, label
-            built = need
-            lo += take
-            window = 2 * take
-        return buffer[:, :built].copy()
+            return np.zeros(m, dtype=np.int32), np.arange(m, dtype=np.int32)
+        # the (row, neighbour) candidates of each row of level n-1, the summed
+        # degree of its variables, by the parent-chain recurrence
+        # work_k = work_{k-1}[parent_k] + degree[label_k]; then their sum up
+        # to each row
+        degree = np.diff(self.graph.adjacent_start)
+        reach = np.zeros(1, dtype=np.int64)
+        for parent, label in self._links[1:n]:
+            reach = reach[parent]
+            reach += degree[label]
+        np.cumsum(reach, out=reach)
+        # step j ends after the rows whose candidates, with those of all rows
+        # before them, number at most j * GROWTH_CANDIDATES, so a step has at
+        # most that many plus one row's; the counts are let go before the
+        # level grows
+        step = GROWTH_CANDIDATES
+        ends = np.searchsorted(reach, np.arange(step, reach[-1] + step, step), side="right")
+        ends = ends.tolist()
+        del reach
+        parent, label = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+        lo = 0
+        for hi in ends:
+            if hi == lo:
+                continue
+            if self.expired():
+                raise TimeoutError(f"the time limit passed while level {n} was built")
+            row, v = self._children(self.rows(n - 1, slice(lo, hi)))
+            built = len(label)
+            parent.resize(built + len(v), refcheck=False)
+            label.resize(built + len(v), refcheck=False)
+            parent[built:] = lo + row
+            label[built:] = v
+            lo = hi
+        return parent, label
 
     def first_subset_of_size(self, n: int) -> int | None:
         """Build level n and return its first node, or None if it is empty.
@@ -188,12 +179,12 @@ class CSTree:
             raise ValueError(f"level {n} was already built")
         if n > self.level_count + 1:
             raise ValueError(f"levels start in order: level {n - 1} has not been built")
-        links = self._build(n)
-        if not links.shape[1]:
+        parent, label = self._build(n)
+        if not len(label):
             return None
         self._first.append(self.node_count + 1)
-        self._links.append(links)
-        self.node_count += links.shape[1]
+        self._links.append((parent, label))
+        self.node_count += len(label)
         return self._first[n]
 
     def next_subset_of_same_size(self, p: int) -> int | None:
@@ -201,7 +192,7 @@ class CSTree:
         None at the level's end."""
         n = self._level_of(p)
         q = p + 1
-        return q if q < self._first[n] + self._links[n].shape[1] else None
+        return q if q < self._first[n] + len(self._links[n][1]) else None
 
 
 def enumerate_connected_subsets(graph: FactorGraph, max_size: int | None = None):

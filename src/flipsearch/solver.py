@@ -135,17 +135,20 @@ def initial_configuration(
 BLOCK_ROWS = 256
 
 
-class _TimeUp(Exception):
-    pass
-
-
-def _selected_blocks(tree: CSTree, selection):
-    """Blocks (ids, rows) of `selection`, ascending node ids: a level's range
-    in the first pass, a round's array in a revisit; cut at level ends."""
-    while len(selection):
-        rows = tree.rows_of(selection[:BLOCK_ROWS])
-        yield selection[: len(rows)], rows
-        selection = selection[len(rows) :]
+def _blocks(tree: CSTree, selected):
+    """Blocks (ids, rows) of up to BLOCK_ROWS subsets of one level, from
+    (n, rows) pairs of level n and its ascending rows: a range in the first
+    pass, an index array in a revisit."""
+    for n, rows in selected:
+        first, _, _ = tree.links(n)
+        for i in range(0, len(rows), BLOCK_ROWS):
+            part = rows[i : i + BLOCK_ROWS]
+            if isinstance(part, range):
+                # consecutive rows are read through a slice
+                ids = range(first + part.start, first + part.stop)
+                yield ids, tree.rows(n, slice(part.start, part.stop))
+            else:
+                yield first + part, tree.rows(n, part)
 
 
 class _Run:
@@ -153,7 +156,6 @@ class _Run:
 
     def __init__(self, graph: FactorGraph, config: Configuration, params: SolveParams):
         self.config = config
-        self.tree = CSTree(graph)
         self.scratch = _FlipScratch(graph)
         self.flips_accepted = 0
         self.subsets_evaluated = 0
@@ -163,7 +165,13 @@ class _Run:
         self.nodes = 0
         self.t0 = time.perf_counter()
         self.deadline = self.t0 + (params.time_limit or math.inf)
+        self.tree = CSTree(graph, self.expired)
         self.seconds, self.energies, self.counters = array("d"), array("d"), array("q")
+
+    def expired(self) -> bool:
+        """Whether the time limit has passed: read at each block's end and
+        before each step of a CS-tree level build."""
+        return time.perf_counter() > self.deadline
 
     def record(self) -> None:
         self.seconds.append(time.perf_counter() - self.t0)
@@ -178,7 +186,7 @@ class _Run:
         ModelError if the energy it leads to is not finite. The counters and
         the nodes reached catch up at a flip, for its record, and at a
         block's end, where what the block's flips touched is tagged and the
-        clock is read."""
+        clock is read: past the time limit, TimeoutError is raised."""
         scratch, config = self.scratch, self.config
         delta_of = scratch.delta
         for ids, rows in blocks:
@@ -202,8 +210,8 @@ class _Run:
             self.subsets_evaluated = evaluated + len(ids)
             if ids[-1] > self.nodes:
                 self.nodes = ids[-1]
-            if time.perf_counter() > self.deadline:
-                raise _TimeUp
+            if self.expired():
+                raise TimeoutError("the time limit passed")
 
 
 def flip_search(
@@ -246,12 +254,12 @@ def flip_search(
                 # ones with additive deltas
                 run.depth = completed = params.max_depth
                 break
-            run.sweep(_selected_blocks(tree, range(s, tree.node_count + 1)), tags)
+            run.sweep(_blocks(tree, [(n, range(tree.node_count + 1 - s))]), tags)
             # a round revisits what is tagged at its start; its flips tag anew
             while tags.first_tagged_subset(tree) is not None:
                 # only the walk holds the selection, so it is freed before
                 # the next round selects
-                blocks = _selected_blocks(tree, tags.selection(tree))
+                blocks = _blocks(tree, tags.selection(tree))
                 tags.untag_all()
                 run.sweep(blocks, tags)
             completed = n
@@ -260,7 +268,8 @@ def flip_search(
                 break
             n += 1
             run.record()
-    except _TimeUp:
+    except TimeoutError:
+        # from a block's end or a growth step of the level being built
         time_up = True
         if run.flips_accepted > certified_flips:
             # a flip of the unfinished depth can open improving flips of

@@ -14,12 +14,11 @@ class TagList:
     clearing costs O(#tagged) rather than O(m).
 
     `selection` drives the revisiting rounds over the levels the CS-tree
-    has built and never grows it: a round visits, in level order, every
-    node whose subset holds a tagged variable. The nodes are selected one
-    level at a time from the CS-tree's parent rows and labels, by the
-    recurrence `mask_n = mask_{n-1}[parent_n] | flags[label_n]` (`mask_0`
-    is False, for the root), into one ascending int64 array of node ids
-    that is kept until a tag changes or the tree grows.
+    has built and never grows it: a round visits, level by level, every
+    node whose subset holds a tagged variable. Each level's rows are
+    selected from the CS-tree's parent rows and labels by the recurrence
+    `mask_n = mask_{n-1}[parent_n] | flags[label_n]` (`mask_0` is False,
+    for the root), when the walk reaches the level.
     """
 
     def __init__(self, variable_count: int):
@@ -28,17 +27,10 @@ class TagList:
         # reads and writes them through `_raw`, which is faster per item
         self.flags = np.frombuffer(self._raw, dtype=bool)
         self.tagged: list[int] = []
-        # the selected node ids and the (tree, node count) they were made for
-        self._selection = None
-        self._selected_in = None
-
-    def tag(self, x: int) -> None:
-        self.tag_connected_variables((x,))
 
     def untag_all(self) -> None:
         self.flags[self.tagged] = False
         self.tagged.clear()
-        self._selected_in = None
 
     def tag_connected_variables(self, variables) -> None:
         """Tag `variables`, distinct variable ids: in a solve, once per
@@ -52,33 +44,36 @@ class TagList:
             for v in new:
                 raw[v] = 1
             self.tagged += new
-            self._selected_in = None
 
-    def selection(self, tree: CSTree) -> np.ndarray:
-        """Ids of the nodes whose subset holds a tagged variable."""
-        if self._selected_in != (tree, tree.node_count):
-            # the old selection is let go before the new one is made
-            self._selection = None
-            self._selected_in = (tree, tree.node_count)
-            hits = [np.zeros(0, dtype=np.int64)]
-            # a node's subset holds a tagged variable iff its parent's does
-            # or its label is tagged; the root's holds none
-            mask = np.zeros(1, dtype=bool)
-            for n in range(1, tree.level_count + 1) if self.tagged else ():
-                first, parent, label = tree.links(n)
-                mask = mask.take(parent) | self.flags.take(label)
-                hits.append(first + np.flatnonzero(mask))
-            self._selection = np.concatenate(hits)
-        return self._selection
+    def selection(self, tree: CSTree):
+        """(n, rows) per level n the tree has built: the ascending rows of
+        level n whose subset holds a variable tagged at this call."""
+        return _selected(tree, self.flags.copy())
 
     def first_tagged_subset(self, tree: CSTree) -> int | None:
-        """First node, in level order, whose subset holds a tagged variable."""
-        selection = self.selection(tree)
-        return selection.item(0) if len(selection) else None
+        """First node, in level order, whose subset holds a tagged variable:
+        level 1 holds every variable in id order, so the smallest tagged
+        variable's."""
+        return 1 + min(self.tagged) if self.tagged and tree.level_count else None
 
     def next_tagged_subset(self, tree: CSTree, s: int) -> int | None:
         """Next node after s, in level order and across levels, whose
         subset holds a tagged variable."""
-        selection = self.selection(tree)
-        i = int(np.searchsorted(selection, s, side="right"))
-        return selection.item(i) if i < len(selection) else None
+        for n, rows in self.selection(tree):
+            first, _, _ = tree.links(n)
+            i = int(np.searchsorted(rows, s - first, side="right"))
+            if i < len(rows):
+                return first + int(rows[i])
+        return None
+
+
+def _selected(tree: CSTree, flags: np.ndarray):
+    # a node's subset holds a flagged variable iff its parent's does or its
+    # label is flagged; the root's holds none. Plain indexing by the int32
+    # links makes no intp copy of them, as `take` would.
+    mask = np.zeros(1, dtype=bool)
+    for n in range(1, tree.level_count + 1):
+        _, parent, label = tree.links(n)
+        mask = mask[parent]
+        mask |= flags[label]
+        yield n, np.flatnonzero(mask)

@@ -1,8 +1,9 @@
 """The solver walks each block of up to BLOCK_ROWS subsets in one loop and
-reads the clock once per block, at its end. Where the blocks end must change
-nothing in a whole run: not the counters, the trace, the energy or the bits.
-A run cut short by its time limit stops at one of the whole run's block
-ends and reports a depth it has certified."""
+reads the clock once per block, at its end, and before each step of a
+CS-tree level build. Where the blocks end must change nothing in a whole
+run: not the counters, the trace, the energy or the bits. A run cut short by
+its time limit stops at one of the whole run's block ends, or inside a level
+build that follows one, and reports a depth it has certified."""
 
 import numpy as np
 import pytest
@@ -94,7 +95,8 @@ def outcome(r, with_times=False):
 
 
 def readings(graph, bits, depth):
-    """Clock readings of a run that is not cut."""
+    """Clock readings of a run that is not cut: its start, its trace
+    records, its block ends and its growth steps."""
     clock = _Clock()
     r = solve(graph, bits, depth, solver.BLOCK_ROWS, time_limit=1e12, clock=clock)
     assert not r.time_limit_hit
@@ -133,19 +135,23 @@ def first_pass_blocks(graph, bits, depth, block_rows):
     """Per level of a solve: its node count, and the row count of each block
     its first pass walked, in order."""
     passes = []
-    selected_blocks = solver._selected_blocks
+    blocks = solver._blocks
 
-    def recorded(tree, selection):
-        if isinstance(selection, range):
-            passes.append((len(selection), []))
-        for ids, rows in selected_blocks(tree, selection):
-            if isinstance(selection, range):
-                passes[-1][1].append(len(rows))
-            yield ids, rows
+    def recorded(tree, selected):
+        for n, rows in selected:
+            # the first pass hands over a level's rows as a range
+            first_pass = isinstance(rows, range)
+            if first_pass:
+                assert len(rows) == len(tree.links(n)[2])
+                passes.append((len(rows), []))
+            for ids, block in blocks(tree, [(n, rows)]):
+                if first_pass:
+                    passes[-1][1].append(len(block))
+                yield ids, block
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "BLOCK_ROWS", block_rows)
-        mp.setattr(solver, "_selected_blocks", recorded)
+        mp.setattr(solver, "_blocks", recorded)
         flip_search(graph, make_configuration(graph, bits.copy()), SolveParams(depth))
     return passes
 

@@ -74,33 +74,41 @@ def assert_same_level(tree, ref, n, data):
     ref_first, ref_rows = ref.level(n)
     assert first == ref_first
     assert rows.dtype == ref_rows.dtype and np.array_equal(rows, ref_rows)
-    # the level is cut to its exact size: 8 bytes per node
-    links = tree._links[n]
-    assert links.dtype == np.int32 and links.shape == (2, len(rows))
-    assert links.base is None and links.nbytes == 8 * len(rows)
+    # the level is two int32 arrays of its exact size: 8 bytes per node
+    assert_exact_links(tree, n, len(rows))
     for p in range(first, first + len(rows)):
         assert tree.sequence_of(p) == ref.sequence_of(p)
         assert tree.next_subset_of_same_size(p) == ref.next_subset_of_same_size(p)
-    # an ascending run of ids from a node of the level on, which may reach
-    # past its end, read as an array as a revisit does and as a range as
-    # the first pass does
-    s = data.draw(st.integers(first, first + len(rows) - 1))
+    # rows of the level from one on, read by an ascending index array as a
+    # revisit reads them and by a slice, which may reach past the level's
+    # end, as the first pass does
+    i = data.draw(st.integers(0, len(rows) - 1))
     steps = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=12))
-    ids = s + np.cumsum([0] + steps)
-    got, expected = tree.rows_of(ids), ref.rows_of(ids)
+    index = i + np.cumsum([0] + steps)
+    index = index[index < len(rows)]
+    got, expected = tree.rows(n, index), ref.rows_of(first + index)
     assert got.shape == expected.shape and np.array_equal(got, expected)
-    ids = range(s, s + data.draw(st.integers(1, 40)))
-    got, expected = tree.rows_of(ids), ref.rows_of(np.arange(ids.start, ids.stop))
+    stop = i + data.draw(st.integers(1, 40))
+    got = tree.rows(n, slice(i, stop))
+    expected = ref.rows_of(np.arange(first + i, first + stop))
     assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def assert_exact_links(tree, n, size):
+    _, parent, label = tree.links(n)
+    for links in (parent, label):
+        assert links.dtype == np.int32 and links.shape == (size,)
+        assert links.base is None and links.nbytes == 4 * size
 
 
 def assert_same_selection(tree, ref, data):
     m = tree.graph.variable_count
     tags = TagList(m)
     for v in data.draw(st.lists(st.integers(0, m - 1), max_size=4)) if m else ():
-        tags.tag(v)
+        tags.tag_connected_variables((v,))
     selection = tags.selection(tree)
-    assert selection.tolist() == reference_selection(ref, tags.flags).tolist()
+    ids = [p for n, rows in selection for p in (tree.links(n)[0] + rows).tolist()]
+    assert ids == reference_selection(ref, tags.flags).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,14 +129,11 @@ def test_compact_tree_matches_row_reference(graph, data):
 
 
 def test_every_level_holds_eight_bytes_per_node():
-    # a path, grown in steps small enough that level 2 outgrows its first
-    # buffer several times
+    # a path, grown in place in steps of one or two rows
     m = 64
     g = build_factor_graph(m, [Factor((v, v + 1), (0.0,) * 4) for v in range(m - 1)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cstree, "GROWTH_CANDIDATES", 2)
         tree = build_levels(g, 3)
     for n, size in ((1, m), (2, m - 1), (3, m - 2)):
-        links = tree._links[n]
-        assert links.dtype == np.int32 and links.shape == (2, size)
-        assert links.base is None and links.nbytes == 8 * size
+        assert_exact_links(tree, n, size)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -12,7 +13,9 @@ from flipsearch import (
     enumerate_connected_subsets,
     cstree,
     enumerate_connected_subsets_recursive,
+    generate_subgraph_grid,
     neighbors,
+    SubgraphGridSpec,
 )
 from flipsearch.oracle import csr_extendable
 from conftest import (
@@ -96,7 +99,7 @@ class TestGrowth:
         # one call builds all seven pairs, and each is a node of the tree
         assert p == 7 and tree.node_count == 6 + 7
         assert [tuple(r) for r in tree.level(2)[1].tolist()] == GRID_PAIRS
-        assert tree.rows_of(range(p, p + 10)).tolist() == tree.level(2)[1].tolist()
+        assert tree.rows(2, np.arange(7)).tolist() == tree.level(2)[1].tolist()
 
 
 class TestLevelIteration:
@@ -285,3 +288,43 @@ def test_growth_in_small_steps_keeps_the_order(graph):
         tree = build_levels(graph, len(expected) + 1)
     for n, seqs in enumerate(expected, start=1):
         assert [tuple(r) for r in tree.level(n)[1].tolist()] == seqs
+
+
+def test_an_expired_build_raises_and_leaves_the_tree_as_it_was(grid):
+    """The tree asks `expired` before each growth step; the third answer
+    stops level 2's build, which then adds nothing, and a later call builds
+    the level whole."""
+    asked = []
+
+    def expired():
+        asked.append(True)
+        return len(asked) == 3
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cstree, "GROWTH_CANDIDATES", 1)
+        tree = CSTree(grid, expired)
+        assert tree.first_subset_of_size(1) == 1
+        with pytest.raises(TimeoutError):
+            tree.first_subset_of_size(2)
+        assert (len(asked), tree.level_count, tree.node_count) == (3, 1, 6)
+        assert tree.first_subset_of_size(2) == 7
+    assert [tuple(r) for r in tree.level(2)[1].tolist()] == GRID_PAIRS
+
+
+def test_a_level_build_peaks_at_its_links_plus_bounded_transients():
+    """Building level n holds its final links, 8 bytes per node, plus one
+    growth step's arrays: the candidate counts of the rows of level n-1 are
+    let go before the level grows."""
+    tree = CSTree(generate_subgraph_grid(SubgraphGridSpec(40, 40, 0)))
+    tracemalloc.start()
+    try:
+        for n in range(1, 6):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tree.first_subset_of_size(n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            size = len(tree.links(n)[2])
+            assert peak <= 8 * size + 128 * cstree.GROWTH_CANDIDATES, n
+    finally:
+        tracemalloc.stop()
+    assert size == 533412

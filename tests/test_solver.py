@@ -307,13 +307,10 @@ class _Clock:
         return self.now
 
 
-def test_a_cut_after_a_deeper_flip_certifies_no_depth():
+def deeper_flip_model():
     """(0, 0, 0) is 1-optimal; flipping {0, 1} at depth 2 makes flipping 2
-    improve. The clock is read at the start, at each trace record and at
-    each block's end: readings 1-3 are the start, its record and depth 1's
-    one block, 4 and 5 the records of depth 2's start and of the flip, and
-    reading 6 ends depth 2's one block past the deadline of 4.5."""
-    g = build_factor_graph(
+    improve."""
+    return build_factor_graph(
         3,
         [
             Factor((0,), (0.0, 0.5)),
@@ -322,18 +319,45 @@ def test_a_cut_after_a_deeper_flip_certifies_no_depth():
             Factor((1, 2), (0.0, 1.0, 1.0, -1.0)),
         ],
     )
+
+
+def cut_solve(graph, time_limit):
+    """A depth-2 solve from (0, 0, 0) on a clock that advances one second
+    per reading."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "time", _Clock())
-        result = flip_search(
-            g,
-            make_configuration(g, [0, 0, 0]),
-            SolveParams(max_depth=2, time_limit=3.5),
+        return flip_search(
+            graph,
+            make_configuration(graph, [0, 0, 0]),
+            SolveParams(max_depth=2, time_limit=time_limit),
         )
+
+
+def test_a_cut_after_a_deeper_flip_certifies_no_depth():
+    """The clock is read at the start, at each trace record, before each
+    step of a level build and at each block's end: readings 1-3 are the
+    start, its record and depth 1's one block, 4 the record of depth 2's
+    start, 5 level 2's one growth step, 6 the record of the flip, and
+    reading 7 ends depth 2's one block past the deadline of 5.5."""
+    g = deeper_flip_model()
+    result = cut_solve(g, 4.5)
     assert result.time_limit_hit
     assert result.configuration.bits.tolist() == [1, 1, 0]
     assert not verify_hamming_bound(g, result.configuration, 1)
     assert result.completed_depth == 0
     assert result.reached_depth == 2
+
+
+def test_a_cut_inside_a_level_build_certifies_the_depth_before_it():
+    """With a deadline of 4.5, reading 5, before level 2's one growth step,
+    passes it: level 2 is not built and depth 1 stays certified."""
+    g = deeper_flip_model()
+    result = cut_solve(g, 3.5)
+    assert result.time_limit_hit
+    assert (result.completed_depth, result.reached_depth) == (1, 2)
+    assert (result.subsets_evaluated, result.cstree_nodes) == (3, 3)
+    assert result.configuration.bits.tolist() == [0, 0, 0]
+    assert verify_hamming_bound(g, result.configuration, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,11 +454,11 @@ def rounds_against_flip_by_flip_tags(graph, bits, depth):
 
     def checked_selection(tags, tree):
         nonlocal taken
-        got = selection(tags, tree)
+        got = [(n, rows.tolist()) for n, rows in selection(tags, tree)]
         if tags is not reference:
-            assert np.array_equal(got, selection(reference, tree))
+            assert got == [(n, rows.tolist()) for n, rows in selection(reference, tree)]
             taken += 1
-        return got
+        return ((n, np.array(rows, dtype=np.intp)) for n, rows in got)
 
     def untag_both(tags):
         untag_all(tags)
@@ -482,24 +506,19 @@ def test_block_end_tags_select_what_flip_by_flip_tags_select_on_random_models(
 
 
 def test_a_rounds_selection_is_freed_before_the_next_round_selects():
-    """Only a round's walk holds its selection, so while the next selection
-    is made, level by level from the tree's links, no earlier one is alive."""
+    """Only a round's walk holds its selection, so when the next round
+    selects, no earlier selection is alive."""
     graph = generate_ising(IsingSpec(10, 10, 0.5, 0))
-    selection, links, made = TagList.selection, CSTree.links, []
+    selection, made = TagList.selection, []
 
     def tracked(tags, tree):
-        got = selection(tags, tree)
-        if not any(ref() is got for ref in made):
-            made.append(weakref.ref(got))
-        return got
-
-    def checked_links(tree, n):
         assert all(ref() is None for ref in made)
-        return links(tree, n)
+        got = selection(tags, tree)
+        made.append(weakref.ref(got))
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TagList, "selection", tracked)
-        mp.setattr(CSTree, "links", checked_links)
         r = flip_search(
             graph, initial_configuration(graph, "unary_min"), SolveParams(max_depth=3)
         )

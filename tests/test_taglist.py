@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsearch import TagList
+from flipsearch import SubgraphGridSpec, TagList, generate_subgraph_grid
 from flipsearch.cstree import enumerate_connected_subsets
 from flipsearch.model import _FlipScratch
 
@@ -32,15 +34,15 @@ def swept(tree, tags):
 class TestTagUntag:
     def test_tag_is_idempotent(self):
         tags = TagList(6)
-        tags.tag(3)
-        tags.tag(3)
+        tags.tag_connected_variables((3,))
+        tags.tag_connected_variables((3,))
         assert tags.tagged == [3]
         assert tags.flags.tolist() == [False, False, False, True, False, False]
 
     def test_untag_all_touches_only_tagged(self):
         tags = TagList(100)
-        tags.tag(1)
-        tags.tag(5)
+        tags.tag_connected_variables((1,))
+        tags.tag_connected_variables((5,))
         tags.flags[7] = True  # set behind the list's back: not cleared
         tags.untag_all()
         assert np.flatnonzero(tags.flags).tolist() == [7]
@@ -55,17 +57,17 @@ class TestTagUntag:
 
     def test_retag_after_clear(self):
         tags = TagList(4)
-        tags.tag(2)
+        tags.tag_connected_variables((2,))
         tags.untag_all()
-        tags.tag(0)
+        tags.tag_connected_variables((0,))
         assert tags.tagged == [0]
 
     def test_range_check(self):
         tags = TagList(3)
         with pytest.raises(IndexError):
-            tags.tag(3)
+            tags.tag_connected_variables((3,))
         with pytest.raises(IndexError):
-            tags.tag(-1)
+            tags.tag_connected_variables((-1,))
 
 
 def flipped(graph, subset):
@@ -107,7 +109,7 @@ class TestTaggedTraversal:
     def test_first_tagged_subset(self, grid):
         tree = build_levels(grid, 1)
         tags = TagList(6)
-        tags.tag(3)
+        tags.tag_connected_variables((3,))
         p = tags.first_tagged_subset(tree)
         assert tree.sequence_of(p) == (3,)
 
@@ -119,13 +121,13 @@ class TestTaggedTraversal:
         tree = build_levels(grid, 1)
         tags = TagList(6)
         for v in range(6):
-            tags.tag(v)
+            tags.tag_connected_variables((v,))
         assert tree.sequence_of(tags.first_tagged_subset(tree)) == (0,)
 
     def test_next_tagged_crosses_levels(self, grid):
         tree = build_levels(grid, 2)
         tags = TagList(6)
-        tags.tag(4)
+        tags.tag_connected_variables((4,))
         s = node_for(tree, (4,))
         t = tags.next_tagged_subset(tree, s)
         # first size-2 node (level order) whose sequence contains 4
@@ -140,7 +142,7 @@ class TestTaggedTraversal:
         tree = build_levels(grid, 2)
         tags = TagList(6)
         for v in range(6):
-            tags.tag(v)
+            tags.tag_connected_variables((v,))
         before = tree.node_count
         p = tags.first_tagged_subset(tree)
         visited = 0
@@ -160,7 +162,7 @@ def test_traversal_matches_naive_scan_random_graphs():
         tree = build_levels(g, depth)
         tags = TagList(m)
         for v in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
-            tags.tag(int(v))
+            tags.tag_connected_variables((int(v),))
         tagged = set(tags.tagged)
         assert swept(tree, tags) == naive_selection(tree, tags)
 
@@ -183,7 +185,7 @@ def test_selection_follows_tag_changes_between_calls(graph, data):
     for _ in range(data.draw(st.integers(1, 4))):
         if m:
             for v in data.draw(st.lists(variables, max_size=3)):
-                tags.tag(v)
+                tags.tag_connected_variables((v,))
         assert swept(tree, tags) == naive_selection(tree, tags)
         if tree.node_count:
             s = data.draw(nodes)
@@ -197,9 +199,29 @@ def test_selection_follows_tag_changes_between_calls(graph, data):
 def test_selection_sees_nodes_created_after_it(grid):
     tree = build_levels(grid, 1)
     tags = TagList(6)
-    tags.tag(5)
+    tags.tag_connected_variables((5,))
     assert swept(tree, tags) == [6]
     p = tree.first_subset_of_size(2)
     while p is not None:
         p = tree.next_subset_of_same_size(p)
     assert [tree.sequence_of(p) for p in swept(tree, tags)] == [(5,), (2, 5), (4, 5)]
+
+
+def test_walking_a_selection_holds_no_intp_copy_of_a_level():
+    """A round's selection, walked level by level, holds a few bytes per
+    node of the level it reaches and 8 per selected row: no intp copy of a
+    level's links (8 bytes per node) and no id array spanning all levels."""
+    graph = generate_subgraph_grid(SubgraphGridSpec(40, 40, 0))
+    tree = build_levels(graph, 5)
+    tags = TagList(graph.variable_count)
+    for v in (5, 77, 300):
+        tags.tag_connected_variables((v,))
+    largest = len(tree.links(5)[2])
+    tracemalloc.start()
+    try:
+        for n, rows in tags.selection(tree):
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= 3 * len(tree.links(n)[2]) + 8 * len(rows) + 2**16, n
+    finally:
+        tracemalloc.stop()
+    assert largest == 533412
