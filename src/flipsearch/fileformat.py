@@ -18,10 +18,13 @@ The parser reads CHUNK_CHARS characters at a time, cut at a line end, and
 handles each piece with numpy: token starts and line ids, content lines
 classed by their index in the file, and per-line flags for the keyword,
 the arity and the token and value counts. Each piece's arity and scope
-tokens go through one map(int, ...) and its values through one
-map(float, ...). The
-first flagged line in file order is checked again on its own, which raises
-the error with its message and line number.
+tokens, and its values, are gathered from its bytes into one buffer each
+and converted by one numpy.loadtxt call. numpy reads a value as float
+does, bit for bit; a token it rejects, or a value it reads as not finite,
+sends the piece down the per-token path, where int and float convert the
+tokens of text.split() and decide. The first flagged line in file order
+is checked again on its own, which raises the error with its message and
+line number.
 """
 
 from __future__ import annotations
@@ -83,13 +86,15 @@ def parse_model(source) -> FactorGraph:
 
 
 # The source is read in pieces of about this many characters, each cut at
-# a line end. Parse time per byte is flat from 16 to 64 KiB pieces, while
-# the token strings of a piece, and so the peak memory, grow with it.
+# a line end. Larger pieces parse a little faster, while a piece's buffers,
+# and so the peak memory, grow with it.
 CHUNK_CHARS = 1 << 15
 
-# The ASCII characters that str.split() and str.strip() take for whitespace.
-_BLANK = bytes(c in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " for c in range(256))
-_IS_BLANK = np.frombuffer(_BLANK, bool)
+# Maps the ASCII characters that str.split() and str.strip() take for
+# whitespace to a space, the one blank numpy.loadtxt splits on here.
+_BLANKS = b"\t\n\v\f\r\x1c\x1d\x1e\x1f"
+_SPACED = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
+_SPACE = ord(" ")
 _FACTOR = np.frombuffer(b"factor", np.uint8)
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
@@ -112,18 +117,18 @@ def _chunks(fh: IO[str]):
 
 
 def _tokenise(text: str):
-    """Tokenise the ASCII `text`. Returns its tokens, as `text.split()`
-    gives them; per line, the offset of its end, its first token and its
-    token count; the content lines, those neither blank nor a comment; and
-    for each content line, whether its first token is 'factor'."""
+    """Tokenise the ASCII `text`. Returns its characters with every blank a
+    space, padded with spaces; the start of each token that `text.split()`
+    gives; per line, the offset of its end, its first token and its token
+    count; the content lines, those neither blank nor a comment; and for
+    each content line, whether its first token is 'factor'."""
     data = text.encode("ascii")
-    blank = np.frombuffer(b"\x01" + data.translate(_BLANK), bool)
+    # padded so that the first 7 characters from any token start, and the
+    # character at the end of the last line, can be read
+    chars = np.frombuffer((data + b" " * 6).translate(_SPACED), np.uint8)
+    blank = np.concatenate(([True], chars[: len(data)] == _SPACE))
     starts = np.flatnonzero(blank[:-1] > blank[1:])  # a non-blank after a blank
-    tokens = text.split()
-    assert len(tokens) == len(starts)
-    # padded so that the first 7 characters from any token start can be read
-    chars = np.frombuffer(data + b" " * 6, np.uint8)
-    ends = np.flatnonzero(chars[: len(data)] == ord("\n"))
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     if text and not text.endswith("\n"):
         ends = np.append(ends, len(data))
     after = np.searchsorted(starts, ends)  # tokens before each line's end
@@ -133,8 +138,29 @@ def _tokenise(text: str):
     head = chars[starts[first[lines]][:, None] + np.arange(7)]
     content = head[:, 0] != ord("#")
     head = head[content]
-    keyword = (head[:, :6] == _FACTOR).all(axis=1) & _IS_BLANK[head[:, 6]]
-    return tokens, ends, first, count, lines[content], keyword
+    keyword = (head[:, :6] == _FACTOR).all(axis=1) & (head[:, 6] == _SPACE)
+    return chars, starts, ends, first, count, lines[content], keyword
+
+
+def _read_numbers(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray, expected: int, dtype):
+    """The numbers in the sorted, disjoint character ranges [lo, hi) of
+    `chars`, in order, as one numpy.loadtxt call reads them into a `dtype`
+    array; None if it rejects one of them, finds other than `expected` of
+    them or reads one as not finite."""
+    if not expected:
+        return np.zeros(0, dtype)
+    # the runs between consecutive bounds are out of a range and in one in turn
+    bounds = np.column_stack((lo, hi)).ravel()
+    run = np.diff(bounds, prepend=0, append=len(chars))
+    inside = np.repeat(np.arange(len(run)) % 2 == 1, run)
+    text = chars[inside].tobytes().decode("ascii")
+    try:
+        numbers = np.loadtxt([text], dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(numbers) != expected or not np.isfinite(numbers).all():
+        return None
+    return numbers
 
 
 def _convert(tokens: list[str], picked: np.ndarray, kind, dtype):
@@ -233,7 +259,7 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
         non_ascii = None if text.isascii() else _NON_ASCII.search(text)
         if non_ascii:  # read the lines before it, then reject it
             text = text[: text.rfind("\n", 0, non_ascii.start()) + 1]
-        tokens, ends, first, count, lines, keyword = _tokenise(text)
+        chars, starts, ends, first, count, lines, keyword = _tokenise(text)
 
         def line(i: int) -> str:
             return text[ends[i - 1] + 1 if i else 0 : ends[i]].strip()
@@ -253,15 +279,30 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
         table_lines = lines[is_table]
         on_factor = np.zeros(len(ends), bool)
         on_factor[factor_lines] = True
-        on_table = np.zeros(len(ends), bool)
-        on_table[table_lines] = True
-        index_token = np.repeat(on_factor, count)
-        index_token[first[factor_lines]] = False  # the keyword
-        ints, bad_int = _convert(tokens, index_token, int, np.int64)
-        floats, bad_float = _convert(tokens, np.repeat(on_table, count), float, np.float64)
+        size = count[factor_lines] - 1  # arity and scope tokens per line
+        ints = floats = bad_int = bad_float = None
+        if keyword[is_factor].all():
+            after_keyword = starts[first[factor_lines]] + len(_FACTOR)
+            ints = _read_numbers(
+                chars, after_keyword, ends[factor_lines] + 1, int(size.sum()), np.int64
+            )
+            floats = _read_numbers(
+                chars, starts[first[table_lines]], ends[table_lines] + 1,
+                int(count[table_lines].sum()), np.float64,
+            )
+        if ints is None or floats is None:
+            # int and float decide what numpy rejected; the token they reject
+            # flags its line
+            tokens = text.split()
+            assert len(tokens) == len(starts)
+            on_table = np.zeros(len(ends), bool)
+            on_table[table_lines] = True
+            index_token = np.repeat(on_factor, count)
+            index_token[first[factor_lines]] = False  # the keyword
+            ints, bad_int = _convert(tokens, index_token, int, np.int64)
+            floats, bad_float = _convert(tokens, np.repeat(on_table, count), float, np.float64)
 
         # flag the lines at fault
-        size = count[factor_lines] - 1  # arity and scope tokens per line
         at = np.cumsum(size) - size  # each line's arity among the ints
         k = np.zeros(len(factor_lines), np.int64)
         k[size > 0] = ints[at[size > 0]]

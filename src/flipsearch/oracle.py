@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+# brute_force_minimize holds 40 bytes per configuration at its peak (a code,
+# an energy, a table index and two temporaries of its update, 8 bytes each);
+# it refuses a model whose 2^m configurations need more than this.
+BRUTE_FORCE_BYTES = 1 << 30
+
+
 @dataclass
 class EnumerationReport:
     counts: dict[int, int]
@@ -37,10 +43,17 @@ def brute_force_minimize(
     graph: FactorGraph, max_variables: int = 24
 ) -> tuple[Configuration, float]:
     """Scan all 2^m configurations; return the lexicographically smallest
-    argmin and its energy, or raise ModelError if that is not finite."""
+    argmin and its energy, or raise ModelError if that is not finite. A
+    model of more than `max_variables` variables, or one whose scan needs
+    more than BRUTE_FORCE_BYTES, raises ValueError before any allocation."""
     m = graph.variable_count
     if m > max_variables:
         raise ValueError(f"{m} variables exceed the brute-force guard {max_variables}")
+    if 40 << min(m, 64) > BRUTE_FORCE_BYTES:
+        raise ValueError(
+            f"brute force over {m} variables needs 40 bytes for each of 2^{m} "
+            f"configurations, more than its ceiling of {BRUTE_FORCE_BYTES} bytes"
+        )
     n = 1 << m
     codes = np.arange(n, dtype=np.int64)
     energies = np.zeros(n, dtype=np.float64)

@@ -397,7 +397,11 @@ def test_chunked_parser_reads_what_the_line_parser_reads(data):
 
 BAD_TOKENS = ["", "x", "1.5", "-1", "0", "1", "2", "3", "7", "nan", "inf", "-inf", "1e400",
               "factor", "vars", "bfg", "#", "+", "0x10", "1e5", str(2**31), str(2**63),
-              str(10**30), str(-(10**30))]
+              str(10**30), str(-(10**30)),
+              # tokens that numpy.loadtxt and int or float read differently
+              "1_0", "1_0.5", "nan(1)", "-nan", "infinity", "-1e400", "0x1p3", "+5", "007",
+              "-0", "5.0", "1\x1c0", "\x1c", str(2**63 - 1), str(-(2**63)), str(-(2**63) - 1),
+              str(10**19), str(-(10**19)), str(2**64)]
 
 
 @settings(max_examples=400, deadline=None)
