@@ -20,11 +20,11 @@ classed by their index in the file, and per-line flags for the keyword,
 the arity and the token and value counts. Each piece's arity and scope
 tokens, and its values, are gathered from its bytes into one buffer each
 and converted by one numpy.loadtxt call. numpy reads a value as float
-does, bit for bit; a token it rejects, or a value it reads as not finite,
-sends the piece down the per-token path, where int and float convert the
-tokens of text.split() and decide. The first flagged line in file order
-is checked again on its own, which raises the error with its message and
-line number.
+does, bit for bit; a token it rejects or warns about, or a value it reads
+as not finite, sends the piece down the per-token path, where int and
+float convert the tokens of text.split() and decide. The first flagged
+line in file order is checked again on its own, which raises the error
+with its message and line number.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import warnings
 from array import array
 from itertools import compress, islice
 from typing import IO, Iterable
@@ -145,8 +146,8 @@ def _tokenise(text: str):
 def _read_numbers(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray, expected: int, dtype):
     """The numbers in the sorted, disjoint character ranges [lo, hi) of
     `chars`, in order, as one numpy.loadtxt call reads them into a `dtype`
-    array; None if it rejects one of them, finds other than `expected` of
-    them or reads one as not finite."""
+    array; None if it rejects or warns about one of them, finds other than
+    `expected` of them or reads a float as not finite."""
     if not expected:
         return np.zeros(0, dtype)
     # the runs between consecutive bounds are out of a range and in one in turn
@@ -154,24 +155,26 @@ def _read_numbers(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray, expected: i
     run = np.diff(bounds, prepend=0, append=len(chars))
     inside = np.repeat(np.arange(len(run)) % 2 == 1, run)
     text = chars[inside].tobytes().decode("ascii")
-    try:
-        numbers = np.loadtxt([text], dtype, comments=None, ndmin=1)
-    except ValueError:
+    # numpy 1.23 to 1.26 read an int token they reject, 1.5 or 1e5 say, as
+    # a float with only a DeprecationWarning; any warning rejects the piece
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            numbers = np.loadtxt([text], dtype, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if len(numbers) != expected:
         return None
-    if len(numbers) != expected or not np.isfinite(numbers).all():
+    if numbers.dtype.kind == "f" and not np.isfinite(numbers).all():
         return None
     return numbers
 
 
 def _convert(tokens: list[str], picked: np.ndarray, kind, dtype):
     """The tokens where `picked` is set, converted by `kind` into a `dtype`
-    array, and None; if `kind` or the dtype rejects some of them, those read
-    0 and the mask of them among the picked comes instead of None."""
+    array, and the mask of those among them that `kind` or the dtype
+    rejects, which read 0."""
     count = int(np.count_nonzero(picked))
-    try:
-        return np.fromiter(map(kind, compress(tokens, picked.tolist())), dtype, count), None
-    except (ValueError, OverflowError):
-        pass
     out = np.zeros(count, dtype)
     rejected = np.zeros(count, dtype=bool)
     for i, token in enumerate(compress(tokens, picked.tolist())):

@@ -27,9 +27,9 @@ __all__ = [
 
 
 # brute_force_minimize holds 40 bytes per configuration at its peak (a code,
-# an energy, a table index and two temporaries of its update, 8 bytes each);
-# it refuses a model whose 2^m configurations need more than this.
-BRUTE_FORCE_BYTES = 1 << 30
+# an energy, a table index and two temporaries of its update, 8 bytes each),
+# so it scans at most this many variables: 2^24 configurations, 640 MiB.
+BRUTE_FORCE_MAX_VARIABLES = 24
 
 
 @dataclass
@@ -40,19 +40,19 @@ class EnumerationReport:
 
 
 def brute_force_minimize(
-    graph: FactorGraph, max_variables: int = 24
+    graph: FactorGraph, max_variables: int = BRUTE_FORCE_MAX_VARIABLES
 ) -> tuple[Configuration, float]:
     """Scan all 2^m configurations; return the lexicographically smallest
     argmin and its energy, or raise ModelError if that is not finite. A
-    model of more than `max_variables` variables, or one whose scan needs
-    more than BRUTE_FORCE_BYTES, raises ValueError before any allocation."""
+    model of more than `max_variables` variables, or of more than
+    BRUTE_FORCE_MAX_VARIABLES, raises ValueError before any allocation."""
     m = graph.variable_count
-    if m > max_variables:
-        raise ValueError(f"{m} variables exceed the brute-force guard {max_variables}")
-    if 40 << min(m, 64) > BRUTE_FORCE_BYTES:
+    limit = min(max_variables, BRUTE_FORCE_MAX_VARIABLES)
+    if m > limit:
         raise ValueError(
-            f"brute force over {m} variables needs 40 bytes for each of 2^{m} "
-            f"configurations, more than its ceiling of {BRUTE_FORCE_BYTES} bytes"
+            f"{m} variables exceed the brute-force guard {limit} (at most "
+            f"{BRUTE_FORCE_MAX_VARIABLES}: the scan holds 40 bytes for each of "
+            f"2^m configurations)"
         )
     n = 1 << m
     codes = np.arange(n, dtype=np.int64)

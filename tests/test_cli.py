@@ -188,16 +188,17 @@ class TestExactAndVerify:
         assert out[1] == "energy 1.0"
 
     def test_exact_refuses_a_scan_past_its_memory_ceiling(self, tmp_path, capsys):
-        """40 variables pass a raised guard, but their 2^40 configurations
-        would need 40 TiB: one error line, before anything is allocated."""
+        """A guard raised past the memory ceiling stays at the ceiling: 2^40
+        configurations would need 40 TiB. One error line, before anything
+        is allocated."""
         model = tmp_path / "m.bfg"
         assert main(["generate", "ising", "--size", "5x8", "--alpha", "0.5", "--seed", "0",
                      "-o", str(model)]) == 0
         capsys.readouterr()
         assert main(["exact", str(model), "--max-variables", "60"]) == 1
         assert capsys.readouterr().err == (
-            "error: brute force over 40 variables needs 40 bytes for each of 2^40 "
-            "configurations, more than its ceiling of 1073741824 bytes\n"
+            "error: 40 variables exceed the brute-force guard 24 (at most 24: the scan "
+            "holds 40 bytes for each of 2^m configurations)\n"
         )
 
     def test_verify_optimum(self, trap_file, tmp_path, capsys):

@@ -3,6 +3,7 @@ import io
 import os
 import re
 import tempfile
+import warnings
 from array import array
 from typing import IO
 from unittest import mock
@@ -427,6 +428,31 @@ def test_chunked_parser_reports_the_faults_the_line_parser_reports(data):
     else:
         del lines[i:]
     _check_against_reference(data.draw(rendered(lines)))
+
+
+_loadtxt = np.loadtxt
+
+
+def _loadtxt_reading_ints_via_floats(fname, dtype=float, **kwargs):
+    """np.loadtxt as numpy 1.23 to 1.26 run it: an int token it rejects is
+    read as a float and cast, with only a DeprecationWarning."""
+    try:
+        return _loadtxt(fname, dtype, **kwargs)
+    except ValueError:
+        if np.dtype(dtype).kind != "i":
+            raise
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return _loadtxt(fname, np.float64, **kwargs).astype(dtype)
+
+
+@pytest.mark.parametrize("token", ["1.5", "5.0", "1e0", str(10**19), str(-(10**19))])
+def test_an_index_numpy_reads_via_a_float_is_left_to_int(token):
+    text = f"bfg 1\nvars 2\nfactor 2 0 {token}\n1 2 3 4\n"
+    with mock.patch.object(np, "loadtxt", _loadtxt_reading_ints_via_floats):
+        with pytest.raises(ModelFormatError, match="line 3: "):
+            parse_model(io.StringIO(text))
+        _check_against_reference(text)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
