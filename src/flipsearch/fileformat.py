@@ -15,16 +15,18 @@ Python's shortest round-trippable repr and read with float, so
 parse(write(G)) reproduces the model value-exactly.
 
 The parser reads CHUNK_CHARS characters at a time, cut at a line end, and
-handles each piece with numpy: token starts and line ids, content lines
-classed by their index in the file, and per-line flags for the keyword,
-the arity and the token and value counts. Each piece's arity and scope
-tokens, and its values, are gathered from its bytes into one buffer each
-and converted by one numpy.loadtxt call. numpy reads a value as float
-does, bit for bit; a token it rejects or warns about, or a value it reads
-as not finite, sends the piece down the per-token path, where int and
-float convert the tokens of text.split() and decide. The first flagged
-line in file order is checked again on its own, which raises the error
-with its message and line number.
+reads each piece in one of two ways. numpy finds its token starts and line
+ids, classes its content lines by their index in the file and counts the
+tokens on each. If every factor line has its keyword and 2 + k tokens for
+its arity k, and every table line 2^k values, the piece is read in bulk:
+its arity and scope tokens, and its values, are gathered from its bytes
+into one buffer each and converted by one numpy.loadtxt call, which reads
+a value as float does, bit for bit. A piece that fails these counts, or
+whose tokens numpy rejects, warns about or reads as not finite, is read
+line by line by the checks a line-by-line parser makes, through int and
+float: the first faulty line raises its error with its line number, and a
+piece with none (an int written 1_0, which numpy rejects) gives its
+numbers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import re
 import warnings
 from array import array
-from itertools import compress, islice
+from itertools import islice
 from typing import IO, Iterable
 
 import numpy as np
@@ -170,23 +172,9 @@ def _read_numbers(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray, expected: i
     return numbers
 
 
-def _convert(tokens: list[str], picked: np.ndarray, kind, dtype):
-    """The tokens where `picked` is set, converted by `kind` into a `dtype`
-    array, and the mask of those among them that `kind` or the dtype
-    rejects, which read 0."""
-    count = int(np.count_nonzero(picked))
-    out = np.zeros(count, dtype)
-    rejected = np.zeros(count, dtype=bool)
-    for i, token in enumerate(compress(tokens, picked.tolist())):
-        try:
-            out[i] = kind(token)
-        except (ValueError, OverflowError):
-            rejected[i] = True
-    return out, rejected
-
-
 # One line's checks, in the order a line-by-line reading makes them. The
-# parser runs the last two on the first line its bulk flags find at fault.
+# parser reads a piece line by line through the last two when its bulk
+# reading fails; the first faulty line raises its error.
 
 
 def _check_header(number: int, line: str) -> None:
@@ -209,10 +197,10 @@ def _variable_count(number: int, line: str) -> int:
     return m
 
 
-def _check_factor_line(number: int, line: str, factor: int, m: int) -> None:
-    """Check `line` as the 'factor' line of factor number `factor`, short of
-    the checks `graph_from_arrays` makes: a variable beyond int64, though,
-    gets the message `check_factor` gives it here."""
+def _check_factor_line(number: int, line: str, factor: int, m: int) -> list[int]:
+    """The scope on `line`, checked as the 'factor' line of factor number
+    `factor`, short of the checks `graph_from_arrays` makes: a variable
+    beyond int64, though, gets the message `check_factor` gives it here."""
     parts = line.split()
     if parts[0] != "factor":
         raise ModelFormatError(number, f"expected 'factor ...', got {line!r}")
@@ -233,16 +221,17 @@ def _check_factor_line(number: int, line: str, factor: int, m: int) -> None:
             check_factor(factor, scope, (), m)
         except ModelError as exc:
             raise ModelFormatError(number, str(exc)) from exc
+    return scope
 
 
-def _check_table_line(number: int, line: str, k: int) -> None:
-    """Check `line` as the table of a factor of arity `k`, short of the
-    checks `graph_from_arrays` makes."""
+def _check_table_line(number: int, line: str, k: int) -> list[float]:
+    """The values on `line`, checked as the table of a factor of arity `k`,
+    short of the checks `graph_from_arrays` makes."""
     parts = line.split()
     if len(parts) != 2**k:
         raise ModelFormatError(number, f"expected {2 ** k} values, got {len(parts)}")
     try:
-        [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError:
         raise ModelFormatError(number, "bad table value")
 
@@ -280,11 +269,12 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
         is_table = (index >= 3) & (index % 2 == 1)
         factor_lines = lines[is_factor]
         table_lines = lines[is_table]
-        on_factor = np.zeros(len(ends), bool)
-        on_factor[factor_lines] = True
+        last_k = arity[-1] if arity else 0  # of the factor before the piece
         size = count[factor_lines] - 1  # arity and scope tokens per line
-        ints = floats = bad_int = bad_float = None
-        if keyword[is_factor].all():
+        # the piece is read in bulk if each factor line has its keyword, an
+        # arity k and k indices, and each table 2^k values
+        bulk = keyword[is_factor].all() and (size > 1).all()
+        if bulk:
             after_keyword = starts[first[factor_lines]] + len(_FACTOR)
             ints = _read_numbers(
                 chars, after_keyword, ends[factor_lines] + 1, int(size.sum()), np.int64
@@ -293,43 +283,32 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
                 chars, starts[first[table_lines]], ends[table_lines] + 1,
                 int(count[table_lines].sum()), np.float64,
             )
-        if ints is None or floats is None:
-            # int and float decide what numpy rejected; the token they reject
-            # flags its line
-            tokens = text.split()
-            assert len(tokens) == len(starts)
-            on_table = np.zeros(len(ends), bool)
-            on_table[table_lines] = True
-            index_token = np.repeat(on_factor, count)
-            index_token[first[factor_lines]] = False  # the keyword
-            ints, bad_int = _convert(tokens, index_token, int, np.int64)
-            floats, bad_float = _convert(tokens, np.repeat(on_table, count), float, np.float64)
-
-        # flag the lines at fault
-        at = np.cumsum(size) - size  # each line's arity among the ints
-        k = np.zeros(len(factor_lines), np.int64)
-        k[size > 0] = ints[at[size > 0]]
-        faulty = ~keyword[is_factor] | (k < 1) | (size - 1 != k)
-        if bad_int is not None:
-            faulty[np.repeat(np.arange(len(factor_lines)), size)[bad_int]] = True
-        # each table line's arity is that of the factor line before it, which
-        # may be the last one of an earlier chunk
-        table_k = np.concatenate(([arity[-1] if arity else 0], k))
-        table_k = table_k[(index[is_table] - 1) // 2 - len(arity)]
-        table_faulty = count[table_lines] != np.left_shift(1, np.clip(table_k, 0, 62))
-        if bad_float is not None:
-            owner = np.repeat(np.arange(len(table_lines)), count[table_lines])
-            table_faulty[owner[bad_float]] = True
-        flagged = np.concatenate((factor_lines[faulty], table_lines[table_faulty]))
-        if len(flagged):
-            i = int(flagged.min())
-            number = lines_before + i + 1
-            if on_factor[i]:
-                f = len(arity) + int(np.searchsorted(factor_lines, i))
-                _check_factor_line(number, line(i), f, m)
-            else:
-                _check_table_line(number, line(i), int(table_k[np.searchsorted(table_lines, i)]))
-            raise AssertionError(f"line {number} was flagged, yet passes its check")
+            bulk = ints is not None and floats is not None
+        if bulk:
+            at = np.cumsum(size) - size  # each line's arity among the ints
+            k = ints[at]
+            # each table line's arity is that of the factor line before it,
+            # which may be the last one of an earlier piece
+            table_k = np.concatenate(([last_k], k))[(index[is_table] - 1) // 2 - len(arity)]
+            bulk = (size - 1 == k).all() and (
+                count[table_lines] == np.left_shift(1, np.clip(table_k, 0, 62))
+            ).all()
+        if bulk:
+            ints = np.delete(ints, at)
+        else:
+            # read line by line: the first faulty line raises its error, and a
+            # piece with none (an int written 1_0, say) gives its numbers
+            k, ints, floats = [], [], []
+            for i, g in zip(lines.tolist(), index.tolist()):
+                number = lines_before + i + 1
+                if g >= 2 and g % 2 == 0:
+                    scope = _check_factor_line(number, line(i), len(arity) + len(k), m)
+                    k.append(len(scope))
+                    ints += scope
+                elif g >= 3:
+                    floats += _check_table_line(number, line(i), k[-1] if k else last_k)
+            k, ints, floats = (np.array(k, np.int64), np.array(ints, np.int64),
+                               np.array(floats, np.float64))
         if non_ascii:
             code = ord(non_ascii.group())
             if 0xDC80 <= code <= 0xDCFF:  # a byte the ASCII decoder escaped
@@ -338,10 +317,8 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
                 what = f"character {non_ascii.group()!r}"
             raise ModelFormatError(lines_before + len(ends) + 1, f"non-ASCII {what}")
 
-        scope_part = np.ones(len(ints), bool)
-        scope_part[at] = False
         arity.frombytes(k.tobytes())
-        scopes.frombytes(ints[scope_part].tobytes())
+        scopes.frombytes(ints.tobytes())
         values.frombytes(floats.tobytes())
         scope_lines.frombytes((lines_before + factor_lines + 1).tobytes())
         value_lines.frombytes((lines_before + table_lines + 1).tobytes())

@@ -92,7 +92,8 @@ def enumerate_connected_subsets_recursive(
     adjacency = [neighbors(graph, v) for v in range(m)]
     counts: dict[int, int] = {}
     listing: list[frozenset[int]] = []
-    for v in range(m):
+    # no subset is grown from a vertex when even a singleton is too large
+    for v in range(m if max_size is None or max_size >= 1 else 0):
         seen = {frozenset((v,))}
         stack = [frozenset((v,))]
         while stack:

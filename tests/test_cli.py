@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -247,6 +249,29 @@ def test_console_entry_point(trap_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "11"
+
+
+def _cap_address_space():
+    cap = 3 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_a_failed_allocation_is_an_error_not_a_traceback(tmp_path):
+    """A model of 2^31 - 1 variables asks for 16 GiB; the child's address
+    space is capped at 3 GiB, so the allocation fails there and nowhere
+    else."""
+    path = tmp_path / "huge.bfg"
+    path.write_text("bfg 1\nvars 2147483647\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipsearch.cli", "solve", str(path), "--max-depth", "1"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_no_command_builds_a_factor(tmp_path, monkeypatch, capsys):

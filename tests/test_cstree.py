@@ -214,9 +214,12 @@ def test_fig_grid_per_size_counts(grid):
     assert sum(counts.values()) == 40
 
 
-def test_max_size_cutoff(grid):
-    counts = Counter(n for n, _ in enumerate_connected_subsets(grid, max_size=2))
-    assert dict(counts) == {1: 6, 2: 7}
+@pytest.mark.parametrize("max_size,counts", [(0, {}), (1, {1: 6}), (2, {1: 6, 2: 7})])
+def test_max_size_cutoff(grid, max_size, counts):
+    found = Counter(n for n, _ in enumerate_connected_subsets(grid, max_size=max_size))
+    assert dict(found) == counts
+    # the recursive enumerator agrees at every cutoff
+    assert enumerate_connected_subsets_recursive(grid, max_size=max_size).counts == counts
 
 
 def test_level_one_holds_the_singletons_after_the_root():

@@ -13,7 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsearch import Factor, build_factor_graph, fileformat, parse_model, write_model
+from flipsearch import (
+    Factor,
+    IsingSpec,
+    SubgraphGridSpec,
+    build_factor_graph,
+    fileformat,
+    generate_ising,
+    generate_subgraph_grid,
+    parse_model,
+    write_model,
+)
 from flipsearch.fileformat import (
     ModelFormatError,
     parse_configuration,
@@ -453,6 +463,33 @@ def test_an_index_numpy_reads_via_a_float_is_left_to_int(token):
         with pytest.raises(ModelFormatError, match="line 3: "):
             parse_model(io.StringIO(text))
         _check_against_reference(text)
+
+
+@pytest.mark.parametrize("size", [7, fileformat.CHUNK_CHARS])
+@pytest.mark.parametrize(
+    "graph",
+    [generate_ising(IsingSpec(20, 20, 0.5, 0)), generate_subgraph_grid(SubgraphGridSpec(10, 10, 0))],
+    ids=["ising-20x20", "subgraph-10x10"],
+)
+def test_pieces_numpy_refuses_are_read_line_by_line(graph, size):
+    """With numpy.loadtxt refusing every piece, each is read by the line
+    checks, and the graph is the one the bulk reading gives."""
+    buf = io.StringIO()
+    write_model(graph, buf)
+    expected = _fingerprint(parse_model(io.StringIO(buf.getvalue())))
+    refuse = mock.Mock(side_effect=ValueError("refused"))
+    with mock.patch.object(np, "loadtxt", refuse), \
+            mock.patch.object(fileformat, "CHUNK_CHARS", size):
+        assert _fingerprint(parse_model(io.StringIO(buf.getvalue()))) == expected
+    assert refuse.called
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_a_table_takes_the_arity_of_its_factor_in_an_earlier_piece(size):
+    text = "bfg 1\nvars 3\nfactor 3 0 1 2\n1 2\n"
+    with mock.patch.object(fileformat, "CHUNK_CHARS", size):
+        with pytest.raises(ModelFormatError, match="^line 4: expected 8 values, got 2$"):
+            parse_model(io.StringIO(text))
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)

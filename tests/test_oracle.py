@@ -66,9 +66,11 @@ class TestRecursiveEnumeration:
         assert report.counts == {1: 3, 2: 2, 3: 1}
         assert report.total == 6
 
-    def test_max_size(self, grid):
-        report = enumerate_connected_subsets_recursive(grid, max_size=2)
-        assert report.counts == {1: 6, 2: 7}
+    @pytest.mark.parametrize("max_size,counts", [(0, {}), (1, {1: 6}), (2, {1: 6, 2: 7})])
+    def test_max_size(self, grid, max_size, counts):
+        report = enumerate_connected_subsets_recursive(grid, max_size=max_size)
+        assert report.counts == counts
+        assert report.total == sum(counts.values())
 
     def test_listing(self, grid):
         report = enumerate_connected_subsets_recursive(grid, include_listing=True)
