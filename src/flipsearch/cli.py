@@ -155,7 +155,7 @@ def _cmd_generate(args) -> int:
 def _cmd_exact(args) -> int:
     graph = fileformat.parse_model(args.model)
     config, best = oracle.brute_force_minimize(graph, max_variables=args.max_variables)
-    print("".join(str(int(b)) for b in config.bits))
+    fileformat.write_configuration(config.bits, sys.stdout)
     print(f"energy {best!r}")
     return 0
 

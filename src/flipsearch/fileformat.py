@@ -14,19 +14,28 @@ ASCII characters str.split() takes for whitespace. Reals are written with
 Python's shortest round-trippable repr and read with float, so
 parse(write(G)) reproduces the model value-exactly.
 
-The parser reads CHUNK_CHARS characters at a time, cut at a line end, and
-reads each piece in one of two ways. numpy finds its token starts and line
-ids, classes its content lines by their index in the file and counts the
-tokens on each. If every factor line has its keyword and 2 + k tokens for
-its arity k, and every table line 2^k values, the piece is read in bulk:
-its arity and scope tokens, and its values, are gathered from its bytes
-into one buffer each and converted by one numpy.loadtxt call, which reads
-a value as float does, bit for bit. A piece that fails these counts, or
-whose tokens numpy rejects, warns about or reads as not finite, is read
-line by line by the checks a line-by-line parser makes, through int and
-float: the first faulty line raises its error with its line number, and a
-piece with none (an int written 1_0, which numpy rejects) gives its
-numbers.
+The parser reads CHUNK_CHARS (128 Ki) characters at a time, cut at a
+line end, and reads each piece in one of two ways. numpy finds its token
+starts and line ends, classes its content lines by their index in the file
+and counts the tokens on each. If every factor line has its keyword and
+2 + k tokens for its arity k, written with digits and signs only, and
+every table line 2^k values, the piece is read in bulk, in one numeric
+pass: the keywords, and any header, 'vars' or comment line, are blanked in
+the piece's own bytes, one numpy.loadtxt call reads every token left as a
+float64, as float reads it, bit for bit, and the per-line token counts
+split the arities and scope indices from the values. An index is taken
+only below 2^53 in magnitude, where a float64 holds it exactly. A piece
+that fails these counts, or whose tokens numpy rejects, warns about or
+reads as not finite, is read line by line by the checks a line-by-line
+parser makes, through int and float: the first faulty line raises its
+error with its line number, and a piece with none (an int written 1_0,
+which numpy rejects) gives its numbers.
+
+The parser keeps no line number per factor. Per piece it keeps the index
+of its first content line, the lines before it and, unless every line of
+the piece is content, the piece's content lines; an error the model's
+checks find once the file is read is placed at its line from these.
+README.md gives the setup and memory this saves (BENCH_25.json).
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ import json
 import re
 import warnings
 from array import array
+from bisect import bisect_right
 from itertools import islice
+from operator import itemgetter
 from typing import IO, Iterable
 
 import numpy as np
@@ -89,17 +100,26 @@ def parse_model(source) -> FactorGraph:
 
 
 # The source is read in pieces of about this many characters, each cut at
-# a line end. Larger pieces parse a little faster, while a piece's buffers,
-# and so the peak memory, grow with it.
-CHUNK_CHARS = 1 << 15
+# a line end. Larger pieces parse faster, while a piece's buffers, and so
+# the peak memory, grow with it.
+CHUNK_CHARS = 1 << 17
 
 # Maps the ASCII characters that str.split() and str.strip() take for
 # whitespace to a space, the one blank numpy.loadtxt splits on here.
 _BLANKS = b"\t\n\v\f\r\x1c\x1d\x1e\x1f"
 _SPACED = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
 _SPACE = ord(" ")
-_FACTOR = np.frombuffer(b"factor", np.uint8)
+# 'factor' and a blank, as the little-endian word of its first 7 characters
+_FACTOR = int.from_bytes(b"factor ", "little")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
+# Maps digits, signs and spaces to 1 and every other character to 0.
+_INTEGRAL = bytes(c in b"0123456789+- " for c in range(256))
+# An int token of smaller magnitude is read exactly as a float64.
+_EXACT = 2.0**53
+# numpy.loadtxt is given rows of this many numbers: it holds a row's
+# characters at four bytes each, which for a whole piece in one row would
+# be its largest buffer.
+_ROW_NUMBERS = 1024
 
 
 def _chunks(fh: IO[str]):
@@ -110,8 +130,10 @@ def _chunks(fh: IO[str]):
         cut = block.rfind("\n") + 1
         if cut:
             head.append(block[:cut])
-            yield "".join(head)
+            piece = "".join(head)
             head = [block[cut:]]
+            del block  # only the piece is held while it is read
+            yield piece
         else:
             head.append(block)
     tail = "".join(head)
@@ -120,56 +142,117 @@ def _chunks(fh: IO[str]):
 
 
 def _tokenise(text: str):
-    """Tokenise the ASCII `text`. Returns its characters with every blank a
-    space, padded with spaces; the start of each token that `text.split()`
-    gives; per line, the offset of its end, its first token and its token
-    count; the content lines, those neither blank nor a comment; and for
-    each content line, whether its first token is 'factor'."""
-    data = text.encode("ascii")
-    # padded so that the first 7 characters from any token start, and the
-    # character at the end of the last line, can be read
-    chars = np.frombuffer((data + b" " * 6).translate(_SPACED), np.uint8)
-    blank = np.concatenate(([True], chars[: len(data)] == _SPACE))
-    starts = np.flatnonzero(blank[:-1] > blank[1:])  # a non-blank after a blank
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    """Tokenise the ASCII `text`. Returns its characters in a bytearray, with
+    every blank a space and padded with spaces; the start of each token that
+    `text.split()` gives; per line, the offset of its end, its first token
+    and its token count; the content lines, those neither blank nor a
+    comment; and for each content line, whether its first token is
+    'factor'."""
+    chars = bytearray(text, "ascii")
+    ends = np.flatnonzero(np.frombuffer(chars, np.uint8) == ord("\n"))
     if text and not text.endswith("\n"):
-        ends = np.append(ends, len(data))
+        ends = np.append(ends, len(text))
+    # padded so that the 8 characters from any token start can be read
+    chars += b" " * 7
+    chars = chars.translate(_SPACED)
+    blank = np.frombuffer(chars, np.uint8, len(text)) == _SPACE
+    # a token starts with a non-blank after a blank
+    starts = np.flatnonzero(np.concatenate(([True], blank[:-1])) > blank)
     after = np.searchsorted(starts, ends)  # tokens before each line's end
     count = np.diff(after, prepend=0)
     first = after - count
     lines = np.flatnonzero(count)
-    head = chars[starts[first[lines]][:, None] + np.arange(7)]
-    content = head[:, 0] != ord("#")
-    head = head[content]
-    keyword = (head[:, :6] == _FACTOR).all(axis=1) & (head[:, 6] == _SPACE)
+    # the first 8 characters of each line's first token, as one word
+    head = np.ndarray(len(text), "<u8", chars, 0, (1,))[starts[first[lines]]]
+    content = (head & 0xFF) != ord("#")
+    keyword = (head[content] & (2**56 - 1)) == _FACTOR
     return chars, starts, ends, first, count, lines[content], keyword
 
 
-def _read_numbers(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray, expected: int, dtype):
-    """The numbers in the sorted, disjoint character ranges [lo, hi) of
-    `chars`, in order, as one numpy.loadtxt call reads them into a `dtype`
-    array; None if it rejects or warns about one of them, finds other than
-    `expected` of them or reads a float as not finite."""
+def _read_numbers(chars: bytearray, cuts: list[int], expected: int):
+    """The `expected` numbers of `chars`, which the offsets `cuts` split
+    into rows of _ROW_NUMBERS and a last row of the rest, as one
+    numpy.loadtxt call reads them into a float64 array, which reads a value
+    as float does, bit for bit; None if it rejects or warns about one of
+    them, finds other than `expected` of them or reads one as not finite."""
     if not expected:
-        return np.zeros(0, dtype)
-    # the runs between consecutive bounds are out of a range and in one in turn
-    bounds = np.column_stack((lo, hi)).ravel()
-    run = np.diff(bounds, prepend=0, append=len(chars))
-    inside = np.repeat(np.arange(len(run)) % 2 == 1, run)
-    text = chars[inside].tobytes().decode("ascii")
-    # numpy 1.23 to 1.26 read an int token they reject, 1.5 or 1e5 say, as
-    # a float with only a DeprecationWarning; any warning rejects the piece
+        return np.zeros(0)
+    text = memoryview(chars)
+    rows = [str(text[a:b], "ascii") for a, b in zip([0, *cuts], [*cuts, len(chars)])]
+    rows[-1] += " 0" * (-expected % _ROW_NUMBERS)  # fills the last row
+    # any warning, such as numpy 1.23 to 1.26 give for some tokens they
+    # read, rejects the piece
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            numbers = np.loadtxt([text], dtype, comments=None, ndmin=1)
+            table = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
-    if len(numbers) != expected:
-        return None
-    if numbers.dtype.kind == "f" and not np.isfinite(numbers).all():
+    numbers = table.ravel()[:expected]
+    if table.shape != (len(rows), _ROW_NUMBERS) or not np.isfinite(numbers).all():
         return None
     return numbers
+
+
+def _read_bulk(chars, starts, ends, first, count, numbered, p, last_k):
+    """The arities, scopes and values of a piece's factor and table lines
+    `numbered`, its first factor line at `p`, read in one numeric pass over
+    its `chars` and the rest of what `_tokenise` gives; `last_k` is the
+    arity of the factor before the piece. None unless every factor line has
+    an arity k and k indices, written with digits and signs only, and every
+    table 2^k values, all of which numpy reads."""
+    factor_lines = numbered[p::2]
+    size = count[factor_lines] - 1  # arity and scope tokens per line
+    if not (size > 1).all():
+        return None
+    # every token but the keywords and those of the header, 'vars' and
+    # comment lines is read
+    keyword_at = starts[first[factor_lines]]
+    blanked = np.frombuffer(chars, np.uint8)
+    for j in range(len("factor")):
+        blanked[keyword_at + j] = _SPACE
+    per_line = count[numbered]  # numbers per line
+    per_line[p::2] -= 1
+    cum = np.cumsum(per_line)
+    before = cum - per_line  # each line's first number
+    expected = int(cum[-1]) if len(cum) else 0
+    if len(starts) > len(factor_lines) + expected:
+        other = count > 0
+        other[numbered] = False
+        for i in np.flatnonzero(other).tolist():
+            lo = int(starts[first[i]])
+            chars[lo : ends[i]] = b" " * (ends[i] - lo)
+    bounds = np.column_stack((keyword_at, ends[factor_lines])).ravel()
+    if len(bounds) and not np.logical_and.reduceat(
+        np.frombuffer(chars.translate(_INTEGRAL), bool), bounds
+    )[::2].all():
+        return None
+    # rows start at every _ROW_NUMBERS-th number, which on a factor line
+    # is a token past the keyword
+    row = np.arange(_ROW_NUMBERS, expected, _ROW_NUMBERS)
+    at = np.searchsorted(cum, row, "right")
+    token = first[numbered[at]] + row - before[at] + (at % 2 == p)
+    numbers = _read_numbers(chars, starts[token].tolist(), expected)
+    if numbers is None:
+        return None
+    arity_at = before[p::2]
+    k = numbers[arity_at]
+    # each table line's arity is that of the factor line before it, which
+    # may be the last one of an earlier piece
+    table_k = np.concatenate(([last_k], k))[1 - p : 1 - p + len(numbered) - len(factor_lines)]
+    if not (size - 1 == k).all() or not (
+        count[numbered[1 - p :: 2]] == np.left_shift(1, np.clip(table_k, 0, 62).astype(np.int64))
+    ).all():
+        return None
+    is_scope = np.zeros(len(numbered), bool)
+    is_scope[p::2] = True
+    is_scope = np.repeat(is_scope, per_line)
+    values = numbers[~is_scope]
+    is_scope[arity_at] = False
+    scopes = numbers[is_scope]
+    if not (np.abs(scopes) < _EXACT).all():
+        return None
+    return k.astype(np.int64), scopes.astype(np.int64), values
 
 
 # One line's checks, in the order a line-by-line reading makes them. The
@@ -237,72 +320,63 @@ def _check_table_line(number: int, line: str, k: int) -> list[float]:
 
 
 def _parse_model(fh: IO[str]) -> FactorGraph:
-    m = 0
-    lines_before = 0  # lines in earlier chunks
-    content_before = 0  # content lines in earlier chunks
-    # every factor's arity, scope and values, end to end; the line numbers
-    # of its scope and values place an error the model's checks find
-    arity = array("q")
-    scopes = array("q")
-    values = array("d")
-    scope_lines = array("q")
-    value_lines = array("q")
+    reader = _Reader()
     for text in _chunks(fh):
+        reader.read(text)
+    return reader.graph()
+
+
+class _Reader:
+    """Reads a model file piece by piece; what a piece needs holds only
+    while it is read."""
+
+    def __init__(self):
+        self.m = 0
+        self.lines_before = 0  # lines in earlier pieces
+        self.content_before = 0  # content lines in earlier pieces
+        # every factor's arity, scope and values, end to end
+        self.arity = array("q")
+        self.scopes = array("q")
+        self.values = array("d")
+        # per piece with content: its first content line's index in the
+        # file, the lines before it and, unless each of its lines is
+        # content, its content lines; they place an error the model's
+        # checks find
+        self.pieces: list[tuple[int, int, np.ndarray | None]] = []
+
+    def read(self, text: str) -> None:
         non_ascii = None if text.isascii() else _NON_ASCII.search(text)
         if non_ascii:  # read the lines before it, then reject it
             text = text[: text.rfind("\n", 0, non_ascii.start()) + 1]
         chars, starts, ends, first, count, lines, keyword = _tokenise(text)
+        lines_before, content_before = self.lines_before, self.content_before
 
         def line(i: int) -> str:
             return text[ends[i - 1] + 1 if i else 0 : ends[i]].strip()
 
         # a content line's index in the file says what it is: the header,
         # the 'vars' line, then a factor line and its table in turn
-        index = content_before + np.arange(len(lines))
-        content_before += len(lines)
-        for i, g in zip(lines[:2].tolist(), index[:2].tolist()):
+        skip = max(0, 2 - content_before)
+        for g, i in enumerate(lines[:skip].tolist(), content_before):
             if g == 0:
                 _check_header(lines_before + i + 1, line(i))
-            elif g == 1:
-                m = _variable_count(lines_before + i + 1, line(i))
-        is_factor = (index >= 2) & (index % 2 == 0)
-        is_table = (index >= 3) & (index % 2 == 1)
-        factor_lines = lines[is_factor]
-        table_lines = lines[is_table]
-        last_k = arity[-1] if arity else 0  # of the factor before the piece
-        size = count[factor_lines] - 1  # arity and scope tokens per line
-        # the piece is read in bulk if each factor line has its keyword, an
-        # arity k and k indices, and each table 2^k values
-        bulk = keyword[is_factor].all() and (size > 1).all()
+            else:
+                self.m = _variable_count(lines_before + i + 1, line(i))
+        p = (content_before + skip) % 2  # the first factor line after those
+        last_k = self.arity[-1] if self.arity else 0  # of the factor before the piece
+        bulk = keyword[skip + p :: 2].all() and _read_bulk(
+            chars, starts, ends, first, count, lines[skip:], p, last_k
+        )
         if bulk:
-            after_keyword = starts[first[factor_lines]] + len(_FACTOR)
-            ints = _read_numbers(
-                chars, after_keyword, ends[factor_lines] + 1, int(size.sum()), np.int64
-            )
-            floats = _read_numbers(
-                chars, starts[first[table_lines]], ends[table_lines] + 1,
-                int(count[table_lines].sum()), np.float64,
-            )
-            bulk = ints is not None and floats is not None
-        if bulk:
-            at = np.cumsum(size) - size  # each line's arity among the ints
-            k = ints[at]
-            # each table line's arity is that of the factor line before it,
-            # which may be the last one of an earlier piece
-            table_k = np.concatenate(([last_k], k))[(index[is_table] - 1) // 2 - len(arity)]
-            bulk = (size - 1 == k).all() and (
-                count[table_lines] == np.left_shift(1, np.clip(table_k, 0, 62))
-            ).all()
-        if bulk:
-            ints = np.delete(ints, at)
+            k, ints, floats = bulk
         else:
             # read line by line: the first faulty line raises its error, and a
             # piece with none (an int written 1_0, say) gives its numbers
             k, ints, floats = [], [], []
-            for i, g in zip(lines.tolist(), index.tolist()):
+            for g, i in enumerate(lines.tolist(), content_before):
                 number = lines_before + i + 1
                 if g >= 2 and g % 2 == 0:
-                    scope = _check_factor_line(number, line(i), len(arity) + len(k), m)
+                    scope = _check_factor_line(number, line(i), len(self.arity) + len(k), self.m)
                     k.append(len(scope))
                     ints += scope
                 elif g >= 3:
@@ -317,28 +391,42 @@ def _parse_model(fh: IO[str]) -> FactorGraph:
                 what = f"character {non_ascii.group()!r}"
             raise ModelFormatError(lines_before + len(ends) + 1, f"non-ASCII {what}")
 
-        arity.frombytes(k.tobytes())
-        scopes.frombytes(ints.tobytes())
-        values.frombytes(floats.tobytes())
-        scope_lines.frombytes((lines_before + factor_lines + 1).tobytes())
-        value_lines.frombytes((lines_before + table_lines + 1).tobytes())
-        lines_before += len(ends)
+        if len(lines):
+            every = len(lines) == len(ends)
+            self.pieces.append((content_before, lines_before, None if every else lines))
+        self.content_before += len(lines)
+        self.lines_before += len(ends)
+        self.arity.frombytes(memoryview(k).cast("B"))
+        self.scopes.frombytes(memoryview(ints).cast("B"))
+        self.values.frombytes(memoryview(floats).cast("B"))
 
-    if content_before < 2:
-        what = "header 'bfg 1'" if content_before == 0 else "'vars <m>'"
-        raise ModelFormatError(lines_before + 1, f"unexpected end of file, expected {what}")
-    if content_before % 2:
-        raise ModelFormatError(
-            scope_lines[-1], "unexpected end of file, expected factor value table"
-        )
-    arity = np.frombuffer(arity, np.int64)
-    try:
-        return graph_from_arrays(
-            m, arity, np.frombuffer(scopes, np.int64), 1 << arity, np.frombuffer(values)
-        )
-    except ModelError as exc:
-        lines_of = value_lines if exc.part == "table" else scope_lines
-        raise ModelFormatError(lines_of[exc.factor], str(exc)) from exc
+    def line_number(self, index: int) -> int:
+        """The line number of the content line with `index` in the file."""
+        at = bisect_right(self.pieces, index, key=itemgetter(0)) - 1
+        content_before, lines_before, lines = self.pieces[at]
+        i = index - content_before
+        return lines_before + 1 + (i if lines is None else int(lines[i]))
+
+    def graph(self) -> FactorGraph:
+        if self.content_before < 2:
+            what = "header 'bfg 1'" if self.content_before == 0 else "'vars <m>'"
+            raise ModelFormatError(
+                self.lines_before + 1, f"unexpected end of file, expected {what}"
+            )
+        if self.content_before % 2:
+            raise ModelFormatError(
+                self.line_number(self.content_before - 1),
+                "unexpected end of file, expected factor value table",
+            )
+        arity = np.frombuffer(self.arity, np.int64)
+        try:
+            return graph_from_arrays(
+                self.m, arity, np.frombuffer(self.scopes, np.int64), 1 << arity,
+                np.frombuffer(self.values),
+            )
+        except ModelError as exc:
+            index = 2 + 2 * exc.factor + (exc.part == "table")
+            raise ModelFormatError(self.line_number(index), str(exc)) from exc
 
 
 def write_trace(trace: Iterable[TraceRecord], destination) -> None:
@@ -352,7 +440,7 @@ def write_trace(trace: Iterable[TraceRecord], destination) -> None:
 
 
 def write_configuration(bits, destination) -> None:
-    text = "".join(str(int(b)) for b in bits) + "\n"
+    text = (np.asarray(bits, np.uint8) + ord("0")).tobytes().decode() + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:

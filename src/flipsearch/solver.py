@@ -13,6 +13,7 @@ exactly Iterated Conditional Modes.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ class SolveParams:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.time_limit is not None and (
             isinstance(self.time_limit, bool)
+            or not isinstance(self.time_limit, numbers.Real)
             or not (math.isfinite(self.time_limit) and self.time_limit > 0)
         ):
             raise ValueError(

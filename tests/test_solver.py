@@ -1,3 +1,4 @@
+import re
 import warnings
 import weakref
 
@@ -205,9 +206,11 @@ class TestFlipSearch:
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SolveParams(max_depth=1, time_limit=bad)
-        for bad in (True, False):
-            with pytest.raises(ValueError, match=repr(bad)):
+        for bad in (True, False, "5", [1], b"5", 1j):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 SolveParams(max_depth=1, time_limit=bad)
+        with pytest.raises(ValueError, match="^time_limit must be positive and finite, got '5'$"):
+            SolveParams(1, time_limit="5")
         assert SolveParams(max_depth=1, time_limit=1).time_limit == 1
 
     @pytest.mark.parametrize("depth", [np.int64(2), np.int32(2), np.uint8(2)])
