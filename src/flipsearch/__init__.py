@@ -34,7 +34,6 @@ from .solver import (
     SolveResult,
     TraceRecord,
     flip_search,
-    icm,
     initial_configuration,
 )
 from .taglist import TagList
@@ -62,7 +61,6 @@ __all__ = [
     "flip_search",
     "generate_ising",
     "generate_subgraph_grid",
-    "icm",
     "initial_configuration",
     "junction_potential",
     "make_configuration",

@@ -173,6 +173,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count_subgraphs(args) -> int:
     graph = fileformat.parse_model(args.model)
+    # the recursive enumerator's size guard refuses a large model before the
+    # CS-tree is built
+    report = (
+        oracle.enumerate_connected_subsets_recursive(graph, max_size=args.max_size)
+        if args.check
+        else None
+    )
     tree = CSTree(graph)
     counts: dict[int, int] = {}
     size = 1
@@ -185,9 +192,6 @@ def _cmd_count_subgraphs(args) -> int:
         print(f"size {size}: {counts[size]}")
     print(f"total {sum(counts.values())}")
     if args.check:
-        report = oracle.enumerate_connected_subsets_recursive(
-            graph, max_size=args.max_size
-        )
         if report.counts != counts:
             print("mismatch against recursive enumeration", file=sys.stderr)
             return 1

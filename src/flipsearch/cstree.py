@@ -92,9 +92,6 @@ class CSTree:
         n = self._level_of(p)
         return tuple(self.rows(n, [p - self._first[n]])[0].tolist())
 
-    def subset_of(self, p: int) -> frozenset[int]:
-        return frozenset(self.sequence_of(p))
-
     def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The canonical one-variable extensions of the sequences `rows`,
         sorted by (row, appended variable): the index in `rows` of each

@@ -25,17 +25,20 @@ the piece's own bytes, one numpy.loadtxt call reads every token left as a
 float64, as float reads it, bit for bit, and the per-line token counts
 split the arities and scope indices from the values. An index is taken
 only below 2^53 in magnitude, where a float64 holds it exactly. A piece
-that fails these counts, or whose tokens numpy rejects, warns about or
-reads as not finite, is read line by line by the checks a line-by-line
-parser makes, through int and float: the first faulty line raises its
-error with its line number, and a piece with none (an int written 1_0,
-which numpy rejects) gives its numbers.
+that fails these counts, or whose tokens numpy rejects or warns about, is
+read line by line by the checks a line-by-line parser makes, through int
+and float: the first faulty line raises its error with its line number,
+and a piece with none (an int written 1_0, which numpy rejects) gives its
+numbers. Either way a value that is not finite (nan, inf, 1e400) is read
+as float reads it, and the model's checks reject its factor.
 
 The parser keeps no line number per factor. Per piece it keeps the index
 of its first content line, the lines before it and, unless every line of
 the piece is content, the piece's content lines; an error the model's
 checks find once the file is read is placed at its line from these.
 README.md gives the setup and memory this saves (BENCH_25.json).
+
+Each reader and writer takes a path or a file object.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import re
 import warnings
 from array import array
 from bisect import bisect_right
+from contextlib import nullcontext
 from itertools import islice
 from operator import itemgetter
 from typing import IO, Iterable
@@ -54,7 +58,6 @@ import numpy as np
 
 from .model import MAX_VARIABLES, FactorGraph, ModelError, check_factor, graph_from_arrays
 from .model import build_factor_graph  # noqa: F401  (perfbench/spans.py traces it here)
-from .solver import TraceRecord
 
 __all__ = [
     "ModelFormatError",
@@ -72,31 +75,33 @@ class ModelFormatError(ValueError):
         self.line_number = line_number
 
 
+def _opened(target, mode: str, **kw):
+    """A context giving `target` itself if it is a file object for `mode`,
+    "r" or "w", or else the file it names, opened with `mode` and `kw`."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        return nullcontext(target)
+    return open(target, mode, **kw)
+
+
 def write_model(graph: FactorGraph, destination) -> None:
-    if hasattr(destination, "write"):
-        _write_model(graph, destination)
-    else:
-        with open(destination, "w") as fh:
-            _write_model(graph, fh)
-
-
-def _write_model(graph: FactorGraph, fh: IO[str]) -> None:
     m = graph.variable_count
     values = map(repr, graph.tables.tolist())
-    fh.write(f"bfg 1\nvars {m}\n")
-    for scope in graph.scopes.T.tolist():
-        scope = [str(v) for v in scope if v != m]
-        table = " ".join(islice(values, 1 << len(scope)))
-        fh.write(f"factor {len(scope)} {' '.join(scope)}\n{table}\n")
+    with _opened(destination, "w") as fh:
+        fh.write(f"bfg 1\nvars {m}\n")
+        for scope in graph.scopes.T.tolist():
+            scope = [str(v) for v in scope if v != m]
+            table = " ".join(islice(values, 1 << len(scope)))
+            fh.write(f"factor {len(scope)} {' '.join(scope)}\n{table}\n")
 
 
 def parse_model(source) -> FactorGraph:
-    if hasattr(source, "read"):
-        return _parse_model(source)
     # a byte outside ASCII decodes to a lone surrogate, which the parser
     # rejects with its line number
-    with open(source, encoding="ascii", errors="surrogateescape") as fh:
-        return _parse_model(fh)
+    with _opened(source, "r", encoding="ascii", errors="surrogateescape") as fh:
+        reader = _Reader()
+        for text in _chunks(fh):
+            reader.read(text)
+        return reader.graph()
 
 
 # The source is read in pieces of about this many characters, each cut at
@@ -174,7 +179,7 @@ def _read_numbers(chars: bytearray, cuts: list[int], expected: int):
     into rows of _ROW_NUMBERS and a last row of the rest, as one
     numpy.loadtxt call reads them into a float64 array, which reads a value
     as float does, bit for bit; None if it rejects or warns about one of
-    them, finds other than `expected` of them or reads one as not finite."""
+    them or finds other than `expected` of them."""
     if not expected:
         return np.zeros(0)
     text = memoryview(chars)
@@ -188,10 +193,9 @@ def _read_numbers(chars: bytearray, cuts: list[int], expected: int):
             table = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
-    numbers = table.ravel()[:expected]
-    if table.shape != (len(rows), _ROW_NUMBERS) or not np.isfinite(numbers).all():
+    if table.shape != (len(rows), _ROW_NUMBERS):
         return None
-    return numbers
+    return table.ravel()[:expected]
 
 
 def _read_bulk(chars, starts, ends, first, count, numbered, p, last_k):
@@ -319,13 +323,6 @@ def _check_table_line(number: int, line: str, k: int) -> list[float]:
         raise ModelFormatError(number, "bad table value")
 
 
-def _parse_model(fh: IO[str]) -> FactorGraph:
-    reader = _Reader()
-    for text in _chunks(fh):
-        reader.read(text)
-    return reader.graph()
-
-
 class _Reader:
     """Reads a model file piece by piece; what a piece needs holds only
     while it is read."""
@@ -429,32 +426,23 @@ class _Reader:
             raise ModelFormatError(self.line_number(index), str(exc)) from exc
 
 
-def write_trace(trace: Iterable[TraceRecord], destination) -> None:
+def write_trace(trace: Iterable, destination) -> None:
+    """Write the records of `SolveResult.trace` as a JSON array."""
     records = [dataclasses.asdict(r) for r in trace]
-    if hasattr(destination, "write"):
-        json.dump(records, destination, indent=2)
-    else:
-        with open(destination, "w") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
+    with _opened(destination, "w") as fh:
+        json.dump(records, fh, indent=2)
+        fh.write("\n")
 
 
 def write_configuration(bits, destination) -> None:
     text = (np.asarray(bits, np.uint8) + ord("0")).tobytes().decode() + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+    with _opened(destination, "w") as fh:
+        fh.write(text)
 
 
 def parse_configuration(source, variable_count: int) -> np.ndarray:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    text = text.strip()
+    with _opened(source, "r") as fh:
+        text = fh.read().strip()
     if len(text) != variable_count or any(ch not in "01" for ch in text):
         raise ValueError(
             f"configuration must be {variable_count} characters of 0/1, "

@@ -35,10 +35,11 @@ USING_NUMBA = False
 BLOCK_CELLS = 1 << 18
 
 
-def table_index(bits: np.ndarray) -> np.ndarray:
-    """Table entries selected by `bits`, one row of bits per scope slot,
-    the last slot being the least significant bit."""
-    idx = np.zeros(bits.shape[1], dtype=np.int64)
+def table_index(bits, count: int) -> np.ndarray:
+    """Table entries selected by `bits`, an iterable of rows of `count`
+    bits, one row per scope slot, the last slot being the least
+    significant bit."""
+    idx = np.zeros(count, dtype=np.int64)
     for b in bits:
         idx <<= 1
         idx |= b
@@ -148,7 +149,7 @@ def flip_deltas(index: np.ndarray, rows: np.ndarray, graph, terms):
         hit = scope[:, None, :] == np.ascontiguousarray(rows.T).take(row, axis=1)
         earlier = np.arange(n)[:, None] < position
         kept = np.flatnonzero(~(hit.any(axis=0) & earlier).any(axis=0))
-        mask = table_index(hit.any(axis=1)).take(kept)
+        mask = table_index(hit.any(axis=1), len(f)).take(kept)
         f, row, column = f.take(kept), row.take(kept), column.take(kept)
     base = graph.table_start.take(f)
     cur = index.take(f)

@@ -333,12 +333,9 @@ def table_indices(graph: FactorGraph, bits: np.ndarray) -> np.ndarray:
     """Each factor's table index under `bits`, a checked uint8 array; the
     bits are gathered one scope slot at a time, to bound the temporaries."""
     padded = np.append(bits, np.uint8(0))
-    index = np.zeros(len(graph.table_start), dtype=np.int64)
-    for slot in graph.scopes:
-        index <<= 1
-        # indexing converts the int32 slot to intp piecewise, `take` at once
-        index |= padded[slot]
-    return index
+    # indexing converts each int32 slot to intp piecewise, `take` at once
+    gathered = (padded[slot] for slot in graph.scopes)
+    return kernels.table_index(gathered, len(graph.table_start))
 
 
 def indexed_energy(graph: FactorGraph, index: np.ndarray) -> float:
@@ -378,22 +375,23 @@ class _FlipScratch:
     slot weights of the flipped set's incidence; so it stays exactly
     `table_indices` of the bits as long as every flip is reported.
 
-    `delta` is the one entry point per evaluated subset. Without a `slot` it
-    runs the scalar `kernels.flip_delta`. The solver hands over a block of
-    subsets of one size with `load_block`; a `delta` call with the slot of a
-    block row returns that row's value from `kernels.flip_deltas`, computed
-    for the whole block at the block's first `delta` call into one terms
-    matrix that lives as long as the scratch. A cached value is bit for bit
-    the scalar one while no variable in S or next to S has flipped since, S
-    being the subset. `flipped` adds each flipped set T and its neighbours
-    to `stale`, which the block's computation empties, and S is stale iff
-    it meets `stale`; a stale entry is recomputed by the scalar kernel.
-    So at a block's end `stale` is what the block's flips touched.
+    `delta` is the one entry point per evaluated subset. The solver hands
+    over a block of subsets of one size with `load_block`; a `delta` call
+    with the slot of a block row returns that row's value from
+    `kernels.flip_deltas`, computed for the whole block at the block's
+    first `delta` call into one terms matrix that lives as long as the
+    scratch, and `evaluations` adds the block's table lookups then. A
+    cached value is bit for bit the scalar one while no variable in S or
+    next to S has flipped since, S being the subset. `flipped` adds each
+    flipped set T and its neighbours to `stale`, which the block's
+    computation empties, and S is stale iff it meets `stale`; a stale entry
+    is recomputed by the scalar `kernels.flip_delta`. So at a block's end
+    `stale` is what the block's flips touched.
     """
 
     def __init__(self, graph: FactorGraph):
         self.graph = graph
-        # table lookups: a scalar call's, and a block's total once computed
+        # table lookups: each block's total once computed
         self.evaluations = 0
         # the index of the all-zero bits until `track` is called
         self.index = np.zeros(len(graph.table_start), dtype=np.int64)
@@ -451,26 +449,19 @@ class _FlipScratch:
                 index[incident[i]] ^= weight[i]
             stale.update(adjacent[adjacent_start[v] : adjacent_start[v + 1]])
 
-    def delta(self, subset, slot=None) -> float:
-        """Energy change of toggling the variables `subset`.
-
-        `slot`, if given, is the index of `subset` among the rows of the
-        loaded block.
-        """
-        if slot is not None:
-            if self._values is None:
-                values, lookups = kernels.flip_deltas(
-                    self.index, self._rows, self.graph, self._terms
-                )
-                self._values = values.tolist()
-                self.evaluations += lookups
-                self.stale.clear()
-            if self.stale.isdisjoint(subset):
-                return self._values[slot]
-            return kernels.flip_delta(self._index, subset, *self._tables)[0]
-        d, lookups = kernels.flip_delta(self._index, subset, *self._tables)
-        self.evaluations += lookups
-        return d
+    def delta(self, subset, slot: int) -> float:
+        """Energy change of toggling the variables `subset`, the row of the
+        loaded block at `slot`."""
+        if self._values is None:
+            values, lookups = kernels.flip_deltas(
+                self.index, self._rows, self.graph, self._terms
+            )
+            self._values = values.tolist()
+            self.evaluations += lookups
+            self.stale.clear()
+        if self.stale.isdisjoint(subset):
+            return self._values[slot]
+        return kernels.flip_delta(self._index, subset, *self._tables)[0]
 
 
 def _variable_id(v) -> int:
@@ -492,21 +483,21 @@ def _check_subset(graph: FactorGraph, subset) -> list[int]:
     return s
 
 
-def energy_after_flip(
-    graph: FactorGraph, config: Configuration, subset, scratch: _FlipScratch | None = None
-) -> float:
+def energy_after_flip(graph: FactorGraph, config: Configuration, subset) -> float:
     """Energy of `config` with the variables in `subset` toggled.
 
-    Only factors incident to the subset are looked up (twice each), but the
-    table indices are built from `config.bits` on every call, an O(factors)
-    numpy pass; the configuration itself is not modified.
+    Only factors incident to the subset are looked up (twice each), by
+    `kernels.flip_delta`, but the table indices are built from `config.bits`
+    on every call, an O(factors) numpy pass; the configuration itself is not
+    modified.
     """
     bits = _check_bits(graph, config.bits)
     s = _check_subset(graph, subset)
-    if scratch is None:
-        scratch = _FlipScratch(graph)
-    scratch.track(table_indices(graph, bits))
-    return config.energy + scratch.delta(s)
+    index = table_indices(graph, bits)
+    arrays = (graph.incident, graph.incident_start, graph.incident_weights)
+    arrays += (graph.table_start, graph.tables)
+    d, _ = kernels.flip_delta(memoryview(index), s, *map(memoryview, arrays))
+    return config.energy + d
 
 
 def flip(config: Configuration, subset, new_energy: float) -> Configuration:

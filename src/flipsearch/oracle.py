@@ -31,6 +31,13 @@ __all__ = [
 # so it scans at most this many variables: 2^24 configurations, 640 MiB.
 BRUTE_FORCE_MAX_VARIABLES = 24
 
+# enumerate_connected_subsets_recursive refuses a model of more variables
+# than this unless its size bound is at most this.
+RECURSIVE_MAX_VARIABLES = 20
+
+# verify_hamming_bound recomputes the energy of at most this many flips.
+HAMMING_MAX_CHECKS = 5_000_000
+
 
 @dataclass
 class EnumerationReport:
@@ -76,19 +83,19 @@ def enumerate_connected_subsets_recursive(
     graph: FactorGraph,
     max_size: int | None = None,
     include_listing: bool = False,
-    max_variables: int = 20,
 ) -> EnumerationReport:
     """Enumerate connected subsets by growing from each minimum vertex.
 
     For every vertex v, subsets whose minimum is v are grown by repeatedly
     adding neighbors larger than v, with explicit frozenset deduplication.
-    This is intentionally a different method than the CS-tree.
+    This is intentionally a different method than the CS-tree. A model of
+    more than RECURSIVE_MAX_VARIABLES variables raises ValueError unless
+    `max_size` is at most that.
     """
     m = graph.variable_count
-    if m > max_variables and (max_size is None or max_size > max_variables):
-        raise ValueError(
-            f"{m} variables exceed the enumeration guard {max_variables}"
-        )
+    limit = RECURSIVE_MAX_VARIABLES
+    if m > limit and (max_size is None or max_size > limit):
+        raise ValueError(f"{m} variables exceed the enumeration guard {limit}")
     adjacency = [neighbors(graph, v) for v in range(m)]
     counts: dict[int, int] = {}
     listing: list[frozenset[int]] = []
@@ -157,12 +164,7 @@ def count_connected_sequences(graph: FactorGraph, subset, max_size: int = 8) -> 
     return count
 
 
-def verify_hamming_bound(
-    graph: FactorGraph,
-    config: Configuration,
-    n: int,
-    max_checks: int = 5_000_000,
-) -> bool:
+def verify_hamming_bound(graph: FactorGraph, config: Configuration, n: int) -> bool:
     """True iff no flip of up to n variables (connected or not) strictly
     lowers the energy.
 
@@ -170,15 +172,16 @@ def verify_hamming_bound(
     counts as lowering the energy E only by more than
     ENERGY_REL_TOL * max(1, |E|), which absorbs summation-order rounding. `n` must be a
     non-negative integer, numpy's included, and not a bool; a configuration
-    whose energy is not finite raises ModelError.
+    whose energy is not finite raises ModelError, and more than
+    HAMMING_MAX_CHECKS flips to check raise ValueError.
     """
     radius = integer(n)
     if radius is None or radius < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
     m = graph.variable_count
     checks = sum(math.comb(m, k) for k in range(1, min(radius, m) + 1))
-    if checks > max_checks:
-        raise ValueError(f"{checks} flip checks exceed the budget {max_checks}")
+    if checks > HAMMING_MAX_CHECKS:
+        raise ValueError(f"{checks} flip checks exceed the budget {HAMMING_MAX_CHECKS}")
     base = _finite_energy(energy(graph, config.bits))
     threshold = base - ENERGY_REL_TOL * max(1.0, abs(base))
     bits = config.bits.copy()

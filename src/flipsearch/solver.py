@@ -45,7 +45,6 @@ __all__ = [
     "TraceRecord",
     "initial_configuration",
     "flip_search",
-    "icm",
 ]
 
 
@@ -293,7 +292,3 @@ def flip_search(
         trace_columns=(run.seconds, run.energies, run.counters),
     )
 
-
-def icm(graph: FactorGraph, config: Configuration, **kwargs) -> SolveResult:
-    """Iterated Conditional Modes: flip search restricted to single variables."""
-    return flip_search(graph, config, SolveParams(max_depth=1, **kwargs))

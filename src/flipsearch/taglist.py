@@ -10,8 +10,7 @@ __all__ = ["TagList"]
 
 
 class TagList:
-    """A flag per variable plus an explicit list of tagged indices, so
-    clearing costs O(#tagged) rather than O(m).
+    """A flag per variable: set for the variables near recent flips.
 
     `selection` drives the revisiting rounds over the levels the CS-tree
     has built and never grows it: a round visits, level by level, every
@@ -22,28 +21,18 @@ class TagList:
     """
 
     def __init__(self, variable_count: int):
-        self._raw = bytearray(variable_count)
-        # the same bytes as a numpy array, for the level masks; Python code
-        # reads and writes them through `_raw`, which is faster per item
-        self.flags = np.frombuffer(self._raw, dtype=bool)
-        self.tagged: list[int] = []
+        self.flags = np.zeros(variable_count, dtype=bool)
 
     def untag_all(self) -> None:
-        self.flags[self.tagged] = False
-        self.tagged.clear()
+        self.flags.fill(False)
 
     def tag_connected_variables(self, variables) -> None:
         """Tag `variables`, distinct variable ids: in a solve, once per
         block with flips, the flipped sets and their graph neighbours, which
         the scratch's `stale` set holds at the block's end."""
-        if variables and not (0 <= min(variables) and max(variables) < len(self._raw)):
+        if variables and not (0 <= min(variables) and max(variables) < len(self.flags)):
             raise IndexError(f"variables {sorted(variables)} out of range")
-        raw = self._raw
-        new = [v for v in variables if not raw[v]]
-        if new:
-            for v in new:
-                raw[v] = 1
-            self.tagged += new
+        self.flags[list(variables)] = True
 
     def selection(self, tree: CSTree):
         """(n, rows) per level n the tree has built: the ascending rows of
@@ -54,7 +43,10 @@ class TagList:
         """First node, in level order, whose subset holds a tagged variable:
         level 1 holds every variable in id order, so the smallest tagged
         variable's."""
-        return 1 + min(self.tagged) if self.tagged and tree.level_count else None
+        if not tree.level_count:
+            return None
+        v = int(self.flags.argmax())
+        return 1 + v if self.flags[v] else None
 
     def next_tagged_subset(self, tree: CSTree, s: int) -> int | None:
         """Next node after s, in level order and across levels, whose

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from flipsearch import CSTree, Factor, build_factor_graph
+from flipsearch import CSTree, Factor, build_factor_graph, energy, neighbors
+
+import scope_walk
 
 # 2x3 grid: variables 0..5, row 0 = (0,1,2), row 1 = (3,4,5)
 GRID_EDGES = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
@@ -77,6 +79,33 @@ def node_for(tree, sequence):
         if tree.sequence_of(p) == tuple(sequence):
             return p
     raise AssertionError(f"no node for {sequence}")
+
+
+def icm_reference(graph, bits):
+    """Iterated Conditional Modes with a tag list, written plainly: a pass
+    over every variable in id order, then rounds over the variables flipped
+    or next to a flip in the round before, in id order, until a round flips
+    none. A variable flips iff its scope-walk delta is below 0.0. Returns
+    the bits, the energy, and the flips and evaluations made."""
+    m = graph.variable_count
+    bits = [int(b) for b in bits]
+    e = energy(graph, bits)
+    view = scope_walk.scalar_view(graph)
+    touched = [0] * len(graph.table_start)
+    flips = evals = 0
+    todo = range(m)
+    while todo:
+        near = set()
+        for v in todo:
+            evals += 1
+            d, _ = scope_walk.flip_delta(bits, [v], view, bytearray(m), touched, evals)
+            if d < 0.0:
+                bits[v] ^= 1
+                e += d
+                flips += 1
+                near.update((v, *neighbors(graph, v)))
+        todo = sorted(near)
+    return bits, e, flips, evals
 
 
 @pytest.fixture

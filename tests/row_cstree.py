@@ -76,9 +76,6 @@ class CSTree:
         first, rows = self._first[n], self._rows[n]
         return rows[ids[ids < first + len(rows)] - first]
 
-    def subset_of(self, p: int) -> frozenset[int]:
-        return frozenset(self.sequence_of(p))
-
     def _children(self, rows: np.ndarray) -> np.ndarray:
         """The canonical one-variable extensions of the sequences `rows`,
         sorted by (row, appended variable)."""

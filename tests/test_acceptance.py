@@ -15,7 +15,7 @@ import pytest
 
 import flipsearch as fs
 
-from conftest import grid_graph, random_graph
+from conftest import grid_graph, icm_reference, random_graph
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -112,18 +112,16 @@ def test_criterion_06_icm_equivalence(model_suite):
     count = 0
     for g in model_suite[:50]:
         bits = fs.initial_configuration(g, "unary_min").bits
-        a = fs.icm(g, fs.make_configuration(g, bits.copy()))
-        b = fs.flip_search(
+        result = fs.flip_search(
             g, fs.make_configuration(g, bits.copy()), fs.SolveParams(max_depth=1)
         )
-        assert np.array_equal(a.configuration.bits, b.configuration.bits)
-        assert (a.flips_accepted, a.subsets_evaluated, a.cstree_nodes) == (
-            b.flips_accepted,
-            b.subsets_evaluated,
-            b.cstree_nodes,
-        )
+        ref_bits, ref_energy, flips, evals = icm_reference(g, bits)
+        assert result.configuration.bits.tolist() == ref_bits
+        assert result.energy.hex() == ref_energy.hex()
+        assert (result.flips_accepted, result.subsets_evaluated) == (flips, evals)
+        assert fs.verify_hamming_bound(g, result.configuration, 1)
         count += 1
-    print(f"PASS criterion 6: single-variable search is bit-identical on {count} models")
+    print(f"PASS criterion 6: depth 1 is the ICM loop, bit for bit, on {count} models")
 
 
 def test_criterion_07_depth_dominance():
@@ -220,3 +218,4 @@ def test_criterion_11_substitute_scope():
     assert not hasattr(flipsearch, "belief_propagation")
     assert not hasattr(flipsearch, "dual_decomposition")
     print("PASS criterion 11: paper-scale baselines intentionally absent")
+

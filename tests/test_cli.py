@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from flipsearch import Factor, FactorGraph, write_model
+from flipsearch import CSTree, Factor, FactorGraph, IsingSpec, generate_ising, write_model
 from flipsearch.cli import _build_parser, main
 
 from conftest import grid_graph, trap_graph
@@ -239,6 +239,17 @@ class TestCountSubgraphs:
         rc = main(["count-subgraphs", str(grid_file), "--max-size", "2", "--check"])
         assert rc == 0
         assert "total 13" in capsys.readouterr().out
+
+    def test_check_refuses_a_large_model_before_counting(self, tmp_path, capsys, monkeypatch):
+        """The recursive enumerator's size guard runs before the CS-tree is
+        built, so a refused model prints no counts."""
+        path = tmp_path / "ising.bfg"
+        write_model(generate_ising(IsingSpec(5, 5, alpha=0.5, seed=0)), path)
+        monkeypatch.setattr(CSTree, "__init__", lambda *args: pytest.fail("tree built"))
+        assert main(["count-subgraphs", str(path), "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 25 variables exceed the enumeration guard 20\n"
 
 
 def test_console_entry_point(trap_file):

@@ -152,13 +152,13 @@ class TestLevelIteration:
         assert len(list(enumerate_connected_subsets(grid))) == 40
 
 
-class TestSubsetOf:
+class TestSequenceOf:
     def test_singleton(self, grid):
         tree = CSTree(grid)
         p = tree.first_subset_of_size(1)
         for _ in range(3):
             p = tree.next_subset_of_same_size(p)
-        assert tree.subset_of(p) == frozenset({3})
+        assert tree.sequence_of(p) == (3,)
 
     def test_path_readout(self, grid):
         tree = build_levels(grid, 3)
@@ -169,12 +169,11 @@ class TestSubsetOf:
         ]
         q = node_for(tree, (0, 1, 4))
         assert tree.sequence_of(q) == (0, 1, 4)
-        assert tree.subset_of(q) == frozenset({0, 1, 4})
 
     def test_root_rejected(self, grid):
         tree = CSTree(grid)
         with pytest.raises(ValueError):
-            tree.subset_of(0)
+            tree.sequence_of(0)
 
     def test_all_enumerated_subsets_are_connected(self, grid):
         for _, subset in enumerate_connected_subsets(grid):
@@ -195,7 +194,7 @@ def test_uniqueness_completeness_and_order_random_graphs():
             if p is None:
                 break
             while p is not None:
-                subsets.append(tree.subset_of(p))
+                subsets.append(frozenset(tree.sequence_of(p)))
                 sequences_by_level.setdefault(n, []).append(tree.sequence_of(p))
                 p = tree.next_subset_of_same_size(p)
             n += 1

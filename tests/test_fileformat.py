@@ -199,6 +199,24 @@ def test_trace_json(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "write, what",
+    [
+        (write_model, generate_ising(IsingSpec(3, 3, 0.5, 0))),
+        (write_trace, [TraceRecord(0.0, 5.0, 1, 0, 0, 0), TraceRecord(0.1, 4.0, 1, 1, 3, 3)]),
+        (write_configuration, [1, 0, 1, 1]),
+    ],
+    ids=["model", "trace", "configuration"],
+)
+def test_a_writer_writes_the_same_text_to_a_path_and_to_a_file_object(tmp_path, write, what):
+    path = tmp_path / "out.txt"
+    write(what, path)
+    buf = io.StringIO()
+    write(what, buf)
+    assert path.read_text() == buf.getvalue()
+    assert buf.getvalue().endswith("\n")
+
+
 # The line-by-line parser that the chunked one replaced, kept as the
 # reference for the differential tests below.
 
@@ -547,6 +565,55 @@ def test_an_index_beyond_int64_is_reported_at_its_line(size):
     with pytest.raises(ModelFormatError) as exc_info:
         _parse_model(io.StringIO(text))
     assert exc_info.value.line_number == 5
+
+
+def _numpy_reads(token: str) -> bool:
+    """Whether numpy.loadtxt reads `token` as the bulk reading calls it,
+    with no error or warning, to the float64 that float gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = np.loadtxt([token], np.float64, comments=None, ndmin=2)[0, 0]
+        except (ValueError, Warning):
+            return False
+    return np.array(float(token)).tobytes() == got.tobytes() or (
+        np.isnan(got) and np.isnan(float(token))
+    )
+
+
+@pytest.mark.parametrize(
+    "token", ["NaN", "-nan", "+inf", "Infinity", "inF", "1e400", "-1e400", "nan(1)", "infinite"]
+)
+def test_a_value_that_is_not_finite_gives_one_error_read_in_bulk_or_line_by_line(token):
+    """The bulk reading takes a value that numpy reads as float does, finite
+    or not, and the model's checks reject its factor at its table line; a
+    `1_0` token, which numpy refuses, sends the piece to the line checks,
+    which give the same error. A token float refuses is a bad value both
+    ways."""
+    try:
+        message = f"line 4: factor 0: non-finite table value {float(token)}"
+    except ValueError:
+        message = "line 4: bad table value"
+    read_bulk = fileformat._read_bulk
+    taken, errors = [], []
+
+    def recorded(*args):
+        numbers = read_bulk(*args)
+        taken.append(numbers is not None)
+        return numbers
+
+    for last in ("0.75", "1_0"):
+        text = f"bfg 1\nvars 2\nfactor 1 0\n0.5 {token}\nfactor 1 1\n0.25 {last}\n"
+        with mock.patch.object(fileformat, "_read_bulk", recorded):
+            with pytest.raises(ModelFormatError) as exc_info:
+                parse_model(io.StringIO(text))
+        errors.append((str(exc_info.value), exc_info.value.line_number))
+    assert errors == [(message, 4)] * 2
+    numpy_reads = _numpy_reads(token)
+    assert taken == [numpy_reads, False]
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        # numpy 2 reads each token float reads, so the bulk path is taken
+        assert numpy_reads == message.startswith("line 4: factor 0")
 
 
 # The parse's tracemalloc peak per factor on the Ising 100x100 file when the

@@ -244,26 +244,27 @@ def test_adjacency_matches_a_unique_of_all_scope_pairs():
 
 
 def test_evaluation_counter_counts_incident_factors(trap):
-    c = make_configuration(trap, [0, 0])
     scratch = _FlipScratch(trap)
-    energy_after_flip(trap, c, {0}, scratch)
+    scratch.track(table_indices(trap, np.zeros(2, np.uint8)))
+    scratch.load_block(np.array([[0]], np.int32))
+    scratch.delta([0], 0)
     assert scratch.evaluations == 2 * 2  # unary 0 and the pair factor
-    energy_after_flip(trap, c, {0, 1}, scratch)
+    scratch.load_block(np.array([[0, 1]], np.int32))
+    scratch.delta([0, 1], 0)
     assert scratch.evaluations == 4 + 2 * 3  # each incident factor once
 
 
-def test_energy_after_flip_follows_the_bits_with_a_shared_scratch():
-    """One scratch across calls, with other flips made in between that it
-    is not told of: each result is exact for the bits of the moment."""
+def test_energy_after_flip_follows_the_bits():
+    """Calls with other flips made in between: each result is exact for
+    the bits of the moment."""
     rng = np.random.default_rng(12)
     for _ in range(20):
         m = int(rng.integers(1, 12))
         g = random_graph(rng, m, max_arity=5)
         c = make_configuration(g, rng.integers(0, 2, m))
-        scratch = _FlipScratch(g)
         for _ in range(10):
             subset = sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
-            got = energy_after_flip(g, c, subset, scratch)
+            got = energy_after_flip(g, c, subset)
             delta = float.fromhex(scalar_delta(g, c.bits, subset)[0])
             assert got.hex() == (c.energy + delta).hex()
             flipped = c.bits.copy()
@@ -446,7 +447,8 @@ ENERGY_PEAK_PER_FACTOR = 16.5
 def test_energy_peak_memory_is_bounded(graph):
     bits = np.random.default_rng(0).integers(0, 2, graph.variable_count, dtype=np.uint8)
     # the index and sum of every slot gathered at once, as a reference
-    index = kernels.table_index(np.append(bits, 0).take(graph.scopes))
+    gathered = np.append(bits, 0).take(graph.scopes)
+    index = kernels.table_index(gathered, len(graph.table_start))
     kept = index.copy()
     expected = indexed_energy(graph, index)
     assert np.array_equal(index, kept)

@@ -13,6 +13,7 @@ from flipsearch import (
     make_configuration,
     verify_hamming_bound,
 )
+from flipsearch import oracle
 
 
 class TestBruteForce:
@@ -71,6 +72,15 @@ class TestRecursiveEnumeration:
         report = enumerate_connected_subsets_recursive(grid, max_size=max_size)
         assert report.counts == counts
         assert report.total == sum(counts.values())
+
+    def test_guard(self):
+        """21 variables are refused unless the size bound is at most 20."""
+        pair = (0.0, 1.0, 1.0, 0.0)
+        chain = build_factor_graph(21, [Factor((v, v + 1), pair) for v in range(20)])
+        for max_size in (None, 21):
+            with pytest.raises(ValueError, match="21 variables exceed the enumeration guard 20"):
+                enumerate_connected_subsets_recursive(chain, max_size=max_size)
+        assert enumerate_connected_subsets_recursive(chain, max_size=20).total == 231 - 1
 
     def test_listing(self, grid):
         report = enumerate_connected_subsets_recursive(grid, include_listing=True)
@@ -137,7 +147,11 @@ class TestHammingBound:
         assert not verify_hamming_bound(g, make_configuration(g, [0]), np.int64(1))
         assert verify_hamming_bound(g, make_configuration(g, [1]), np.uint8(1))
 
-    def test_budget(self, grid):
+    def test_budget(self, grid, monkeypatch):
+        """6 + 15 = 21 flips at radius 2 fit a budget of 21, not one of 20."""
         c = make_configuration(grid, [0] * 6)
-        with pytest.raises(ValueError):
-            verify_hamming_bound(grid, c, 6, max_checks=10)
+        monkeypatch.setattr(oracle, "HAMMING_MAX_CHECKS", 21)
+        assert verify_hamming_bound(grid, c, 2)  # all zeros is optimal
+        monkeypatch.setattr(oracle, "HAMMING_MAX_CHECKS", 20)
+        with pytest.raises(ValueError, match="21 flip checks exceed the budget 20"):
+            verify_hamming_bound(grid, c, 2)

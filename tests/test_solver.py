@@ -19,7 +19,6 @@ from flipsearch import (
     flip_search,
     generate_ising,
     generate_subgraph_grid,
-    icm,
     initial_configuration,
     make_configuration,
     neighbors,
@@ -28,7 +27,7 @@ from flipsearch import (
 from flipsearch import CSTree, TagList, solver
 from flipsearch.model import ENERGY_REL_TOL, ModelError, _FlipScratch
 
-from conftest import higher_order_models, random_graph
+from conftest import higher_order_models, icm_reference, random_graph
 
 
 class TestInitialConfiguration:
@@ -224,29 +223,33 @@ class TestFlipSearch:
             SolveParams(max_depth=bad)
 
 
+ICM = SolveParams(max_depth=1)
+
+
 class TestIcm:
     def test_equals_depth_one_on_random_models(self):
+        """Depth 1 is Iterated Conditional Modes with a tag list: the same
+        flips, evaluations, bits and energy, bit for bit, as the plain loop."""
         rng = np.random.default_rng(77)
         for _ in range(50):
             g = random_graph(rng, int(rng.integers(2, 13)))
             bits = rng.integers(0, 2, size=g.variable_count).astype(np.uint8)
-            a = icm(g, make_configuration(g, bits.copy()))
-            b = flip_search(
-                g, make_configuration(g, bits.copy()), SolveParams(max_depth=1)
-            )
-            assert a.configuration.bits.tolist() == b.configuration.bits.tolist()
-            assert a.flips_accepted == b.flips_accepted
-            assert a.subsets_evaluated == b.subsets_evaluated
-            assert a.cstree_nodes == b.cstree_nodes
+            result = flip_search(g, make_configuration(g, bits.copy()), ICM)
+            ref_bits, ref_energy, flips, evals = icm_reference(g, bits)
+            assert result.configuration.bits.tolist() == ref_bits
+            assert result.energy.hex() == ref_energy.hex()
+            assert (result.flips_accepted, result.subsets_evaluated) == (flips, evals)
+            assert result.cstree_nodes == g.variable_count
+            assert result.completed_depth == 1
 
     def test_trap_model(self, trap):
-        result = icm(trap, initial_configuration(trap, "unary_min"))
+        result = flip_search(trap, initial_configuration(trap, "unary_min"), ICM)
         assert result.configuration.bits.tolist() == [0, 0]
         assert result.energy == 2.0
 
     def test_decoupled_ising_global(self):
         g = generate_ising(IsingSpec(3, 3, alpha=0.0, seed=2))
-        result = icm(g, initial_configuration(g, "unary_min"))
+        result = flip_search(g, initial_configuration(g, "unary_min"), ICM)
         _, best = brute_force_minimize(g)
         assert result.recomputed_energy == pytest.approx(best, rel=1e-12)
 

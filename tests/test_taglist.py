@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsearch import SubgraphGridSpec, TagList, generate_subgraph_grid
+from flipsearch import CSTree, SubgraphGridSpec, TagList, generate_subgraph_grid
 from flipsearch.cstree import enumerate_connected_subsets
 from flipsearch.model import _FlipScratch
 
@@ -14,12 +14,16 @@ from conftest import build_levels, higher_order_models, node_for, random_graph
 
 def naive_selection(tree, tags, after=0):
     """Nodes after `after` whose subset holds a tagged variable."""
-    tagged = set(tags.tagged)
+    tagged = set(tagged_variables(tags))
     return [
         p
         for p in range(after + 1, tree.node_count + 1)
         if tagged & set(tree.sequence_of(p))
     ]
+
+
+def tagged_variables(tags):
+    return np.flatnonzero(tags.flags).tolist()
 
 
 def swept(tree, tags):
@@ -36,31 +40,29 @@ class TestTagUntag:
         tags = TagList(6)
         tags.tag_connected_variables((3,))
         tags.tag_connected_variables((3,))
-        assert tags.tagged == [3]
         assert tags.flags.tolist() == [False, False, False, True, False, False]
 
-    def test_untag_all_touches_only_tagged(self):
+    def test_untag_all_clears_every_flag(self):
         tags = TagList(100)
         tags.tag_connected_variables((1,))
-        tags.tag_connected_variables((5,))
-        tags.flags[7] = True  # set behind the list's back: not cleared
+        tags.tag_connected_variables((5, 99))
+        tags.flags[7] = True
         tags.untag_all()
-        assert np.flatnonzero(tags.flags).tolist() == [7]
-        assert tags.tagged == []
+        assert tagged_variables(tags) == []
 
-    def test_untag_all_on_empty_is_free(self):
+    def test_untag_all_on_empty(self):
         tags = TagList(10)
-        tags.flags[3] = True
         tags.untag_all()
-        assert np.flatnonzero(tags.flags).tolist() == [3]
-        assert tags.tagged == []
+        assert tagged_variables(tags) == []
+        tags.tag_connected_variables(set())
+        assert tagged_variables(tags) == []
 
     def test_retag_after_clear(self):
         tags = TagList(4)
         tags.tag_connected_variables((2,))
         tags.untag_all()
         tags.tag_connected_variables((0,))
-        assert tags.tagged == [0]
+        assert tagged_variables(tags) == [0]
 
     def test_range_check(self):
         tags = TagList(3)
@@ -82,12 +84,12 @@ class TestTagConnectedVariables:
     def test_singleton(self, grid):
         tags = TagList(6)
         tags.tag_connected_variables(flipped(grid, (0,)))
-        assert sorted(tags.tagged) == [0, 1, 3]
+        assert tagged_variables(tags) == [0, 1, 3]
 
     def test_pair(self, grid):
         tags = TagList(6)
         tags.tag_connected_variables(flipped(grid, (0, 1)))
-        assert sorted(tags.tagged) == [0, 1, 2, 3, 4]
+        assert tagged_variables(tags) == [0, 1, 2, 3, 4]
 
     def test_isolated_variable(self):
         from flipsearch import Factor, build_factor_graph
@@ -95,14 +97,14 @@ class TestTagConnectedVariables:
         g = build_factor_graph(2, [Factor((0,), (0.1, 0.9))])
         tags = TagList(2)
         tags.tag_connected_variables(flipped(g, (1,)))
-        assert tags.tagged == [1]
+        assert tagged_variables(tags) == [1]
 
     def test_out_of_range_rejected(self, grid):
         tags = TagList(6)
         for bad in ({6}, {-1, 0}):
             with pytest.raises(IndexError):
                 tags.tag_connected_variables(bad)
-        assert tags.tagged == []
+        assert tagged_variables(tags) == []
 
 
 class TestTaggedTraversal:
@@ -116,6 +118,11 @@ class TestTaggedTraversal:
     def test_first_tagged_none_when_empty(self, grid):
         tree = build_levels(grid, 1)
         assert TagList(6).first_tagged_subset(tree) is None
+
+    def test_first_tagged_none_before_level_one(self, grid):
+        tags = TagList(6)
+        tags.tag_connected_variables((2,))
+        assert tags.first_tagged_subset(CSTree(grid)) is None
 
     def test_first_tagged_all_tagged(self, grid):
         tree = build_levels(grid, 1)
@@ -163,13 +170,12 @@ def test_traversal_matches_naive_scan_random_graphs():
         tags = TagList(m)
         for v in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
             tags.tag_connected_variables((int(v),))
-        tagged = set(tags.tagged)
         assert swept(tree, tags) == naive_selection(tree, tags)
 
 
 def test_enumerate_helper_agrees_with_manual_build(grid):
     tree = build_levels(grid, 6)
-    manual = {tree.subset_of(p) for p in range(1, tree.node_count + 1)}
+    manual = {frozenset(tree.sequence_of(p)) for p in range(1, tree.node_count + 1)}
     helper = {s for _, s in enumerate_connected_subsets(grid)}
     assert manual == helper
 
